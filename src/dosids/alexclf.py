@@ -89,7 +89,7 @@ def clip_gradients(params, max_norm: float):
                 p.grad = p.grad * scale
 
 
-class AlexNetClassifier:
+class AlexNetClassifier(ng.Module):
     def __init__(self, feature_dim: int, n_classes: int, seed: int = 0,
                  conv_channels=(32, 64, 64), kernel_sizes=(7, 5, 3),
                  dense_widths=(128, 64), dropout_rate: float = 0.5):
@@ -131,14 +131,6 @@ class AlexNetClassifier:
         return {"conv": len(self.convs), "pool": len(self.pools), "lrn": 2,
                 "dense": 2, "softmax": 1}
 
-    def parameters(self):
-        params = []
-        for conv in self.convs:
-            params += conv.parameters()
-        params += self.dense1.parameters() + self.dense2.parameters()
-        params += self.softmax_head.parameters()
-        return params
-
     def logits(self, x: ng.Tensor, train: bool,
                rng: np.random.Generator | None = None) -> ng.Tensor:
         """x is [batch, 1, feature_dim]. Dropout guards the two hidden
@@ -158,26 +150,6 @@ class AlexNetClassifier:
             h = ng.dropout(h, self.dropout_rate, train, rng)
         h = ng.relu(self.dense2(h))
         return self.softmax_head(h)
-
-    def state_arrays(self) -> dict:
-        arrays = {}
-        for i, conv in enumerate(self.convs):
-            arrays[f"conv{i}.weight"] = conv.weight.data
-            arrays[f"conv{i}.bias"] = conv.bias.data
-        for name, layer in (("dense1", self.dense1), ("dense2", self.dense2),
-                            ("head", self.softmax_head)):
-            arrays[f"{name}.weight"] = layer.weight.data
-            arrays[f"{name}.bias"] = layer.bias.data
-        return arrays
-
-    def load_state(self, arrays: dict):
-        for i, conv in enumerate(self.convs):
-            conv.weight.data = np.asarray(arrays[f"conv{i}.weight"], dtype=np.float64)
-            conv.bias.data = np.asarray(arrays[f"conv{i}.bias"], dtype=np.float64)
-        for name, layer in (("dense1", self.dense1), ("dense2", self.dense2),
-                            ("head", self.softmax_head)):
-            layer.weight.data = np.asarray(arrays[f"{name}.weight"], dtype=np.float64)
-            layer.bias.data = np.asarray(arrays[f"{name}.bias"], dtype=np.float64)
 
 
 def build_classifier(feature_dim: int, n_classes: int, seed: int = 0,
@@ -207,7 +179,7 @@ def train_classifier(clf: AlexNetClassifier, features: np.ndarray, labels: np.nd
     rng = substream(seed, "alexclf-train")
     trace = []
     for epoch in range(1, hp.epochs + 1):
-        opt.state.learning_rate = step_decayed_lr(epoch, hp.epochs, hp.learning_rate)
+        opt.learning_rate = step_decayed_lr(epoch, hp.epochs, hp.learning_rate)
         perm = rng.permutation(n)
         losses, hits, seen = [], 0, 0
         for start in range(0, n, hp.batch_size):

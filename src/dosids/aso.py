@@ -141,15 +141,6 @@ def length_scale(x_i: np.ndarray, kbest_positions: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x_i, dtype=np.float64) - centroid))
 
 
-def h_scaled_distance(x_i, x_j, sigma: float, nt: int, cfg: AsoConfig) -> float:
-    """Pair distance over the length scale, clamped into [h_min, h_max]."""
-    h_min = cfg.h_min_base + drift_factor(nt, cfg)
-    if sigma <= 0.0:
-        return h_min
-    ratio = float(np.linalg.norm(np.asarray(x_i) - np.asarray(x_j))) / sigma
-    return float(np.clip(ratio, h_min, cfg.h_max))
-
-
 def _force_bracket(h: np.ndarray, cfg: AsoConfig) -> np.ndarray:
     if cfg.force_law == "lj":
         return 2.0 * h ** -13.0 - h ** -7.0

@@ -58,7 +58,7 @@ def _conv_out(length: int, kernel: int) -> int:
     return (length + 2 - kernel) // 2 + 1
 
 
-class Generator:
+class Generator(ng.Module):
     """noise [B, noise_dim] -> rows [B, n_features] in (0, 1)."""
 
     def __init__(self, n_features: int, cfg: GanConfig, rng):
@@ -85,18 +85,8 @@ class Generator:
         y = y[:, 0, :self.n_features]
         return (y + 1.0) * 0.5                         # (-1, 1) -> (0, 1)
 
-    def parameters(self):
-        return (self.stem.parameters() + self.bn0.parameters()
-                + self.up1.parameters() + self.bn1.parameters()
-                + self.up2.parameters() + self.bn2.parameters()
-                + self.head.parameters())
 
-    def _pieces(self):
-        return {"stem": self.stem, "bn0": self.bn0, "up1": self.up1, "bn1": self.bn1,
-                "up2": self.up2, "bn2": self.bn2, "head": self.head}
-
-
-class Discriminator:
+class Discriminator(ng.Module):
     """rows [B, n_features] -> real-vs-fake probability [B]."""
 
     def __init__(self, n_features: int, cfg: GanConfig, rng):
@@ -123,14 +113,6 @@ class Discriminator:
         pooled = ng.global_avg_pool1d(h).reshape(b)    # pooling stands in for a dense head
         return ng.sigmoid(pooled)
 
-    def parameters(self):
-        return (self.conv1.parameters() + self.conv2.parameters()
-                + self.bn2.parameters() + self.conv3.parameters())
-
-    def _pieces(self):
-        return {"conv1": self.conv1, "conv2": self.conv2, "bn2": self.bn2,
-                "conv3": self.conv3}
-
 
 @dataclass
 class GanPair:
@@ -139,14 +121,6 @@ class GanPair:
     config: GanConfig
     n_features: int
     loss_history: list[tuple[float, float]] = field(default_factory=list)  # (gen, disc)
-
-
-def generator_forward(pair: GanPair, z, train: bool = False) -> ng.Tensor:
-    return pair.generator(ng.as_tensor(z), train)
-
-
-def discriminator_forward(pair: GanPair, x, train: bool = False) -> ng.Tensor:
-    return pair.discriminator(ng.as_tensor(x), train)
 
 
 def generator_loss(d_of_fake) -> ng.Tensor:
@@ -230,8 +204,8 @@ def discriminator_accuracy(pair: GanPair, real_rows: np.ndarray,
     over- or under-powered discriminator drifts away from 0.5."""
     real = np.asarray(real_rows, dtype=np.float64)
     fake = sample_rows(pair, real.shape[0], rng)
-    p_real = discriminator_forward(pair, real, train=False).data
-    p_fake = discriminator_forward(pair, fake, train=False).data
+    p_real = pair.discriminator(ng.Tensor(real), train=False).data
+    p_fake = pair.discriminator(ng.Tensor(fake), train=False).data
     return float(((p_real > 0.5).sum() + (p_fake <= 0.5).sum()) / (2.0 * real.shape[0]))
 
 

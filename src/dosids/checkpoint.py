@@ -50,24 +50,30 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         blob = fh.read()
     if blob[:8] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 8)
+    offset = 8
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
+                             f"needs at least {offset + n})")
+        offset += n
+        return blob[offset - n:offset]
+
+    version, count = struct.unpack("<II", take(8))
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    offset = 16
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset) if ndim else ()
-        offset += 4 * ndim
-        n_items = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(blob, dtype="<f4", count=n_items, offset=offset)
-        offset += 4 * n_items
+        (name_len,) = struct.unpack("<H", take(2))
+        name = take(name_len).decode("utf-8")
+        (ndim,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        data = np.frombuffer(take(4 * int(np.prod(shape))), dtype="<f4")
         arrays[name] = data.reshape(shape).astype(np.float64)
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after "
+                         f"the last array")
     return arrays
 
 

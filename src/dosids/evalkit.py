@@ -129,8 +129,3 @@ def render_report(report: MetricsReport, fmt: str = "table") -> str:
         lines.append(f"overall accuracy: {_pct(report.overall_accuracy)}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_report(text: str) -> MetricsReport:
-    """Inverse of render_report(fmt='json')."""
-    return MetricsReport.from_dict(json.loads(text))

@@ -1,12 +1,11 @@
 from .tensor import Tensor, as_tensor
 from .ops import (
     activation, avg_pool1d, batch_norm1d, conv1d, conv_transpose1d, dense,
-    dropout, global_avg_pool1d, leaky_relu, lrn, max_pool1d, pool1d, relu,
+    dropout, global_avg_pool1d, leaky_relu, lrn, max_pool1d, relu,
     RunningStats, sigmoid, softmax_cross_entropy, softmax_probs, tanh,
 )
 from .nn import (
-    BatchNorm1d, Conv1d, ConvTranspose1d, Dense, LocalResponseNorm, SGD,
-    SgdState, sgd_update,
+    BatchNorm1d, Conv1d, ConvTranspose1d, Dense, LocalResponseNorm, Module, SGD,
 )
 from .gradcheck import grad_check
 
@@ -14,9 +13,9 @@ __all__ = [
     "Tensor", "as_tensor",
     "activation", "avg_pool1d", "batch_norm1d", "conv1d", "conv_transpose1d",
     "dense", "dropout", "global_avg_pool1d", "leaky_relu", "lrn", "max_pool1d",
-    "pool1d", "relu", "RunningStats", "sigmoid", "softmax_cross_entropy",
+    "relu", "RunningStats", "sigmoid", "softmax_cross_entropy",
     "softmax_probs", "tanh",
     "BatchNorm1d", "Conv1d", "ConvTranspose1d", "Dense", "LocalResponseNorm",
-    "SGD", "SgdState", "sgd_update",
+    "Module", "SGD",
     "grad_check",
 ]

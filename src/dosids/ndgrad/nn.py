@@ -1,4 +1,4 @@
-"""Layer objects (parameters + forward) and the SGD optimizer.
+"""The Module protocol, the layer objects built on it, and the SGD optimizer.
 
 Weights initialize uniformly in +-sqrt(6 / (fan_in + fan_out)), biases at
 zero. Every layer takes its init generator explicitly so model builds are
@@ -16,7 +16,69 @@ def _uniform_init(shape, fan_in, fan_out, rng) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
 
-class Conv1d:
+def _walk(obj, prefix: str):
+    """(path, owner, attribute, value) for every Tensor and ndarray reachable
+    through sub-modules, lists of modules and running statistics, in
+    attribute definition order."""
+    for attr, value in vars(obj).items():
+        path = prefix + attr
+        if isinstance(value, (Tensor, np.ndarray)):
+            yield path, obj, attr, value
+        elif isinstance(value, (Module, ops.RunningStats)):
+            yield from _walk(value, path + ".")
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, Module):
+                    yield from _walk(item, f"{path}.{i}.")
+
+
+class Module:
+    """Base of every layer and model.
+
+    Parameters are the Tensor attributes and buffers the ndarray ones
+    (batch-norm running statistics), each named by its attribute path,
+    e.g. `blocks.0.bn1.gamma` or `bn_stem.running.mean`. Checkpoints are
+    keyed by these names, and the parameter order is the order in which
+    the attributes were assigned.
+    """
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [(path, v) for path, _, _, v in _walk(self, "") if isinstance(v, Tensor)]
+
+    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
+        return [(path, v) for path, _, _, v in _walk(self, "")
+                if isinstance(v, np.ndarray)]
+
+    def parameters(self) -> list[Tensor]:
+        return [p for _, p in self.named_parameters()]
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {path: v.data if isinstance(v, Tensor) else v
+                for path, _, _, v in _walk(self, "")}
+
+    def load_state(self, arrays: dict):
+        """Copy every parameter and buffer from `arrays`; the keys must be
+        exactly this module's names and every shape must match."""
+        slots = {path: (owner, attr, v) for path, owner, attr, v in _walk(self, "")}
+        for key in slots:
+            if key not in arrays:
+                raise ValueError(f"state is missing {key!r}")
+        for key, value in arrays.items():
+            if key not in slots:
+                raise ValueError(f"unexpected state key {key!r}")
+            current = slots[key][2]
+            if np.shape(value) != current.shape:
+                raise ValueError(f"state {key!r} has shape {np.shape(value)}, "
+                                 f"expected {current.shape}")
+        for key, (owner, attr, current) in slots.items():
+            data = np.array(arrays[key], dtype=np.float64)
+            if isinstance(current, Tensor):
+                current.data = data
+            else:
+                setattr(owner, attr, data)
+
+
+class Conv1d(Module):
     def __init__(self, c_in, c_out, kernel, stride=1, padding=0, bias=True, rng=None):
         self.stride = stride
         self.padding = padding
@@ -26,11 +88,8 @@ class Conv1d:
     def __call__(self, x):
         return ops.conv1d(x, self.weight, self.stride, self.padding, self.bias)
 
-    def parameters(self):
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
 
-
-class ConvTranspose1d:
+class ConvTranspose1d(Module):
     def __init__(self, c_in, c_out, kernel, stride=1, padding=0, bias=True, rng=None):
         self.stride = stride
         self.padding = padding
@@ -40,11 +99,8 @@ class ConvTranspose1d:
     def __call__(self, x):
         return ops.conv_transpose1d(x, self.weight, self.stride, self.padding, self.bias)
 
-    def parameters(self):
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
 
-
-class Dense:
+class Dense(Module):
     def __init__(self, n_in, n_out, bias=True, rng=None):
         self.weight = _uniform_init((n_out, n_in), n_in, n_out, rng)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
@@ -52,11 +108,8 @@ class Dense:
     def __call__(self, x):
         return ops.dense(x, self.weight, self.bias)
 
-    def parameters(self):
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
 
-
-class BatchNorm1d:
+class BatchNorm1d(Module):
     def __init__(self, channels, eps=1e-5, momentum=0.1):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
@@ -68,11 +121,8 @@ class BatchNorm1d:
         return ops.batch_norm1d(x, self.gamma, self.beta, self.running, train,
                                 self.eps, self.momentum)
 
-    def parameters(self):
-        return [self.gamma, self.beta]
 
-
-class LocalResponseNorm:
+class LocalResponseNorm(Module):
     """Parameterless divisive normalization across adjacent channels."""
 
     def __init__(self, size=5, alpha=1e-4, beta=0.75, k=2.0):
@@ -84,45 +134,25 @@ class LocalResponseNorm:
     def __call__(self, x):
         return ops.lrn(x, self.size, self.alpha, self.beta, self.k)
 
-    def parameters(self):
-        return []
-
-
-class SgdState:
-    """Velocity buffers plus the update hyperparameters."""
-
-    def __init__(self, params, learning_rate, momentum=0.0, weight_decay=0.0):
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in params]
-
 
 class SGD:
     """v <- momentum*v + grad + weight_decay*param; param <- param - lr*v."""
 
     def __init__(self, params, learning_rate, momentum=0.0, weight_decay=0.0):
         self.params = list(params)
-        self.state = SgdState(self.params, learning_rate, momentum, weight_decay)
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
-        st = self.state
-        for p, v in zip(self.params, st.velocity):
+        for p, v in zip(self.params, self.velocity):
             if p.grad is None:
                 continue
-            v *= st.momentum
-            v += p.grad + st.weight_decay * p.data
-            p.data -= st.learning_rate * v
+            v *= self.momentum
+            v += p.grad + self.weight_decay * p.data
+            p.data -= self.learning_rate * v
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
-
-
-def sgd_update(params, grads, state: SgdState):
-    """Functional form of the SGD step on raw arrays, for reuse in tests."""
-    for p, g, v in zip(params, grads, state.velocity):
-        v *= state.momentum
-        v += g + state.weight_decay * p
-        p -= state.learning_rate * v
-    return params

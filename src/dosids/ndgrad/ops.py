@@ -179,13 +179,6 @@ class RunningStats:
         self.mean = np.zeros(channels, dtype=np.float64)
         self.var = np.ones(channels, dtype=np.float64)
 
-    def state_arrays(self, prefix: str) -> dict:
-        return {f"{prefix}.running_mean": self.mean, f"{prefix}.running_var": self.var}
-
-    def load_state(self, prefix: str, arrays: dict):
-        self.mean = np.asarray(arrays[f"{prefix}.running_mean"], dtype=np.float64)
-        self.var = np.asarray(arrays[f"{prefix}.running_var"], dtype=np.float64)
-
 
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
                  train: bool, eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
@@ -318,16 +311,6 @@ def global_avg_pool1d(x: Tensor) -> Tensor:
         _accumulate(x, np.broadcast_to(g / length, x.data.shape).copy())
 
     return make_from_op(out_data, (x,), bw)
-
-
-def pool1d(x: Tensor, kind: str, window: int | None = None, stride: int | None = None) -> Tensor:
-    if kind == "max":
-        return max_pool1d(x, window, stride)
-    if kind == "average":
-        return avg_pool1d(x, window, stride)
-    if kind == "global_average":
-        return global_avg_pool1d(x)
-    raise ValueError(f"unknown pooling kind {kind!r}")
 
 
 # ---- dense / dropout / loss -------------------------------------------------

@@ -12,7 +12,7 @@ import logging
 import os
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -127,82 +127,63 @@ def _as_bool(v: str) -> bool:
     raise ValueError(f"expected a boolean, got {v!r}")
 
 
+def _column_list(v: str) -> list[str]:
+    return [c.strip() for c in v.split(",") if c.strip()]
+
+
+# dotted config key -> (PipelineConfig field, or "gan."/"aso." sub-field; parser).
+# `augment.target.<class>` and `classifier.<hyperparameter>` are prefix rules.
+CONFIG_KEYS = {
+    "data.input": ("input_path", str),
+    "data.label_column": ("label_column", str),
+    "data.socket_columns": ("socket_columns", _column_list),
+    "data.subsample": ("subsample", int),
+    "split.train_fraction": ("train_fraction", float),
+    "augment.policy": ("augment_policy", str),
+    "gan.noise_dim": ("gan.noise_dim", int),
+    "gan.learning_rate": ("gan.learning_rate", float),
+    "gan.batch_size": ("gan.batch_size", int),
+    "gan.epochs": ("gan.epochs", int),
+    "extractor.blocks": ("extractor_blocks", int),
+    "extractor.base_channels": ("extractor_base_channels", int),
+    "extractor.feature_dim": ("extractor_feature_dim", int),
+    "extractor.epochs": ("extractor_epochs", int),
+    "extractor.learning_rate": ("extractor_lr", float),
+    "extractor.batch_size": ("extractor_batch_size", int),
+    "aso.population": ("aso.population", int),
+    "aso.iterations": ("aso.iterations", int),
+    "aso.depth_weight": ("aso.depth_weight", float),
+    "aso.multiplier_weight": ("aso.multiplier_weight", float),
+    "aso.force_law": ("aso.force_law", str),
+    "aso.proxy_epochs": ("proxy_epochs", int),
+    "tune.skip": ("skip_tune", _as_bool),
+    "classifier.input": ("classifier_input", str),
+    "run.seed": ("seed", int),
+    "run.out": ("out_dir", str),
+}
+
+
 def config_from_file(path) -> PipelineConfig:
-    values = parse_config_file(path)
     cfg = PipelineConfig()
-    gan = cfg.gan
-    aso = cfg.aso
     overrides: dict[str, str] = {}
-    for key, v in values.items():
-        if key == "data.input":
-            cfg.input_path = v
-        elif key == "data.label_column":
-            cfg.label_column = v
-        elif key == "data.socket_columns":
-            cfg.socket_columns = [c.strip() for c in v.split(",") if c.strip()]
-        elif key == "data.subsample":
-            cfg.subsample = int(v)
-        elif key == "split.train_fraction":
-            cfg.train_fraction = float(v)
-        elif key == "augment.policy":
-            cfg.augment_policy = v
+    for key, v in parse_config_file(path).items():
+        if key in CONFIG_KEYS:
+            field_path, parse = CONFIG_KEYS[key]
+            parent, _, name = field_path.rpartition(".")
+            setattr(getattr(cfg, parent) if parent else cfg, name, parse(v))
         elif key.startswith("augment.target."):
             cfg.augment_targets[key[len("augment.target."):]] = int(v)
-        elif key == "gan.noise_dim":
-            gan = replace(gan, noise_dim=int(v))
-        elif key == "gan.learning_rate":
-            gan = replace(gan, learning_rate=float(v))
-        elif key == "gan.batch_size":
-            gan = replace(gan, batch_size=int(v))
-        elif key == "gan.epochs":
-            gan = replace(gan, epochs=int(v))
-        elif key == "extractor.blocks":
-            cfg.extractor_blocks = int(v)
-        elif key == "extractor.base_channels":
-            cfg.extractor_base_channels = int(v)
-        elif key == "extractor.feature_dim":
-            cfg.extractor_feature_dim = int(v)
-        elif key == "extractor.epochs":
-            cfg.extractor_epochs = int(v)
-        elif key == "extractor.learning_rate":
-            cfg.extractor_lr = float(v)
-        elif key == "extractor.batch_size":
-            cfg.extractor_batch_size = int(v)
-        elif key == "aso.population":
-            aso = replace(aso, population=int(v))
-        elif key == "aso.iterations":
-            aso = replace(aso, iterations=int(v))
-        elif key == "aso.depth_weight":
-            aso = replace(aso, depth_weight=float(v))
-        elif key == "aso.multiplier_weight":
-            aso = replace(aso, multiplier_weight=float(v))
-        elif key == "aso.force_law":
-            aso = replace(aso, force_law=v)
-        elif key == "aso.proxy_epochs":
-            cfg.proxy_epochs = int(v)
-        elif key == "tune.skip":
-            cfg.skip_tune = _as_bool(v)
-        elif key.startswith("classifier.") and key != "classifier.input":
+        elif key.startswith("classifier."):
             overrides[key[len("classifier."):]] = v
-        elif key == "classifier.input":
-            cfg.classifier_input = v
-        elif key == "run.seed":
-            cfg.seed = int(v)
-        elif key == "run.out":
-            cfg.out_dir = v
         else:
             raise ValueError(f"unknown config key {key!r}")
-    cfg.gan = gan
-    cfg.aso = aso
     if overrides:
+        types = {f.name: f.type for f in fields(Hyperparameters)}
         hp = Hyperparameters()
         for name, v in overrides.items():
-            if name in ("momentum", "weight_decay", "learning_rate"):
-                setattr(hp, name, float(v))
-            elif name in ("epochs", "batch_size"):
-                setattr(hp, name, int(v))
-            else:
+            if name not in types:
                 raise ValueError(f"unknown classifier override {name!r}")
+            setattr(hp, name, types[name](v))
         cfg.classifier_overrides = hp
     return cfg
 

@@ -19,7 +19,7 @@ from .seeding import substream
 log = logging.getLogger(__name__)
 
 
-class ResidualBlock:
+class ResidualBlock(ng.Module):
     def __init__(self, c_in: int, c_out: int, stride: int = 1, rng=None):
         self.conv1 = ng.Conv1d(c_in, c_out, 3, stride=stride, padding=1, bias=False, rng=rng)
         self.bn1 = ng.BatchNorm1d(c_out)
@@ -41,27 +41,8 @@ class ResidualBlock:
         skip = x if self.proj is None else self.bn_proj(self.proj(x), train)
         return h + skip
 
-    def parameters(self):
-        params = (self.conv1.parameters() + self.bn1.parameters()
-                  + self.conv2.parameters() + self.bn2.parameters()
-                  + self.conv3.parameters() + self.bn3.parameters())
-        if self.proj is not None:
-            params += self.proj.parameters() + self.bn_proj.parameters()
-        return params
 
-    def _bn_items(self):
-        items = [("bn1", self.bn1), ("bn2", self.bn2), ("bn3", self.bn3)]
-        if self.bn_proj is not None:
-            items.append(("bn_proj", self.bn_proj))
-        return items
-
-
-def residual_block_forward(block: ResidualBlock, x: ng.Tensor,
-                           train: bool = False) -> ng.Tensor:
-    return block(x, train)
-
-
-class FeatureExtractor:
+class FeatureExtractor(ng.Module):
     """Frozen after training; extraction is then a pure function."""
 
     def __init__(self, input_features: int, blocks: int = 16, base_channels: int = 16,
@@ -104,14 +85,6 @@ class FeatureExtractor:
             self.project = None
             self.feature_dim = self.trunk_dim
 
-    def parameters(self):
-        params = self.stem.parameters() + self.bn_stem.parameters()
-        for block in self.blocks:
-            params += block.parameters()
-        if self.project is not None:
-            params += self.project.parameters()
-        return params
-
     def forward(self, x: ng.Tensor, train: bool,
                 rng: np.random.Generator | None = None) -> ng.Tensor:
         """[batch, 1, input_features] -> [batch, feature_dim].
@@ -127,46 +100,6 @@ class FeatureExtractor:
         if self.project is not None:
             pooled = self.project(pooled)
         return pooled
-
-    def state_arrays(self) -> dict:
-        arrays = {"stem.weight": self.stem.weight.data,
-                  "stem.bn.gamma": self.bn_stem.gamma.data,
-                  "stem.bn.beta": self.bn_stem.beta.data}
-        arrays.update(self.bn_stem.running.state_arrays("stem.bn"))
-        for i, block in enumerate(self.blocks):
-            p = f"block{i}"
-            for j, conv in enumerate((block.conv1, block.conv2, block.conv3), start=1):
-                arrays[f"{p}.conv{j}.weight"] = conv.weight.data
-            if block.proj is not None:
-                arrays[f"{p}.proj.weight"] = block.proj.weight.data
-            for name, bn in block._bn_items():
-                arrays[f"{p}.{name}.gamma"] = bn.gamma.data
-                arrays[f"{p}.{name}.beta"] = bn.beta.data
-                arrays.update(bn.running.state_arrays(f"{p}.{name}"))
-        if self.project is not None:
-            arrays["project.weight"] = self.project.weight.data
-            arrays["project.bias"] = self.project.bias.data
-        return arrays
-
-    def load_state(self, arrays: dict):
-        as64 = lambda key: np.asarray(arrays[key], dtype=np.float64)
-        self.stem.weight.data = as64("stem.weight")
-        self.bn_stem.gamma.data = as64("stem.bn.gamma")
-        self.bn_stem.beta.data = as64("stem.bn.beta")
-        self.bn_stem.running.load_state("stem.bn", arrays)
-        for i, block in enumerate(self.blocks):
-            p = f"block{i}"
-            for j, conv in enumerate((block.conv1, block.conv2, block.conv3), start=1):
-                conv.weight.data = as64(f"{p}.conv{j}.weight")
-            if block.proj is not None:
-                block.proj.weight.data = as64(f"{p}.proj.weight")
-            for name, bn in block._bn_items():
-                bn.gamma.data = as64(f"{p}.{name}.gamma")
-                bn.beta.data = as64(f"{p}.{name}.beta")
-                bn.running.load_state(f"{p}.{name}", arrays)
-        if self.project is not None:
-            self.project.weight.data = as64("project.weight")
-            self.project.bias.data = as64("project.bias")
 
 
 def build_feature_extractor(input_features: int, blocks: int = 16,

@@ -8,7 +8,7 @@ import pytest
 from dosids.alexclf import Hyperparameters
 from dosids.aso import (AsoConfig, SearchSpace, BATCH_CHOICES, compute_masses,
                         constraint_force, decode_hyperparameters, depth_function,
-                        drift_factor, h_scaled_distance, hyperparameter_space,
+                        drift_factor, hyperparameter_space,
                         interaction_force, k_best_count, lagrange_multiplier,
                         length_scale, optimize, random_search, step,
                         tune_hyperparameters)
@@ -94,16 +94,22 @@ def test_length_scale_cases():
 
 
 def test_h_scaled_distance_clamps():
+    """The pair distance over the length scale is clamped into
+    [h_min, h_max] before the force bracket: the force from one neighbour
+    matches the force computed by hand from the clamped value."""
     cfg = AsoConfig(iterations=100)
     h_min = cfg.h_min_base + drift_factor(10, cfg)
-    # ratio below the floor
-    assert h_scaled_distance([0.0], [0.8], 1.0, 10, cfg) == h_min
-    # pass-through region
-    assert np.isclose(h_scaled_distance([0.0], [1.15], 1.0, 10, cfg), 1.15)
-    # above the ceiling
-    assert h_scaled_distance([0.0], [2.0], 1.0, 10, cfg) == cfg.h_max
-    # degenerate length scale
-    assert h_scaled_distance([0.0], [1.0], 0.0, 10, cfg) == h_min
+    eta = depth_function(10, cfg)
+    cases = [(0.8, 1.0, h_min),        # ratio below the floor
+             (1.15, 1.0, 1.15),        # pass-through region
+             (2.0, 1.0, cfg.h_max),    # above the ceiling
+             (1.0, 0.0, h_min)]        # degenerate length scale
+    for distance, sigma, h in cases:
+        draw = substream(4, "pair").random(1)[0]
+        force = interaction_force([0.0], [[distance]], sigma, 10, cfg,
+                                  substream(4, "pair"))
+        expected = draw * (-eta * (2.0 * h ** -13.0 - h ** -7.0))
+        assert np.isclose(force[0], expected, rtol=1e-12, atol=0.0), (distance, sigma)
 
 
 def test_force_bracket_regimes():

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from dosids import ndgrad as ng
-from dosids.augment import (GanConfig, discriminator_accuracy,
-                            discriminator_forward, discriminator_loss,
-                            generator_forward, generator_loss, jitter_rows,
+from dosids.augment import (GanConfig, discriminator_accuracy, discriminator_loss,
+                            generator_loss, jitter_rows,
                             median_targets, oversample_minorities, sample_rows,
                             train_dcgan)
 from dosids.seeding import substream
@@ -74,8 +73,8 @@ def test_losses_finite_at_extremes():
 def test_generator_output_range_and_shape():
     cfg = small_cfg()
     pair = train_dcgan(blob_rows(0, n=24), cfg)
-    z = substream(1, "z").standard_normal((8, cfg.noise_dim))
-    out = generator_forward(pair, z)
+    z = ng.Tensor(substream(1, "z").standard_normal((8, cfg.noise_dim)))
+    out = pair.generator(z, train=False)
     assert out.shape == (8, 10)
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
@@ -83,20 +82,20 @@ def test_generator_output_range_and_shape():
 def test_generator_deterministic():
     cfg = small_cfg()
     pair = train_dcgan(blob_rows(0, n=24), cfg)
-    z = substream(2, "z").standard_normal((4, cfg.noise_dim))
-    a = generator_forward(pair, z).data
-    b = generator_forward(pair, z).data
+    z = ng.Tensor(substream(2, "z").standard_normal((4, cfg.noise_dim)))
+    a = pair.generator(z, train=False).data
+    b = pair.generator(z, train=False).data
     assert np.array_equal(a, b)
 
 
 def test_discriminator_probability_contract():
     cfg = small_cfg()
     pair = train_dcgan(blob_rows(3, n=24), cfg)
-    rows = blob_rows(4, n=5)
-    p = discriminator_forward(pair, rows)
+    rows = ng.Tensor(blob_rows(4, n=5))
+    p = pair.discriminator(rows, train=False)
     assert p.shape == (5,)
     assert np.all(p.data > 0.0) and np.all(p.data < 1.0)
-    assert np.array_equal(p.data, discriminator_forward(pair, rows).data)
+    assert np.array_equal(p.data, pair.discriminator(rows, train=False).data)
 
 
 # ---- training -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 artifacts, determinism, stage isolation, and the CLI."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -89,6 +90,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_arrays(path)
 
 
+def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
+    good = tmp_path / "good.ckpt"
+    save_arrays(good, {"a.weight": np.ones((2, 3)), "b": np.float32(1.0)})
+    blob = good.read_bytes()
+    path = tmp_path / "bad.ckpt"
+    for cut in range(8, len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated"):
+            load_arrays(path)
+    path.write_bytes(blob + b"\0junk")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: 5 trailing bytes"):
+        load_arrays(path)
+
+
 # ---- config ----------------------------------------------------------------------
 
 def test_parse_config_round_trip(tmp_path):
@@ -108,7 +123,67 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg.skip_tune is True
     assert cfg.classifier_overrides.momentum == 0.8
     assert cfg.classifier_overrides.epochs == 40
+    assert type(cfg.classifier_overrides.epochs) is int
     assert cfg.seed == 11
+
+
+# a raw value per fixed key, each unlike the default, and its parsed form
+CONFIG_SAMPLES = {
+    "data.input": ("a.csv", "a.csv"),
+    "data.label_column": ("attack_cat", "attack_cat"),
+    "data.socket_columns": ("src_ip, dst_ip,", ["src_ip", "dst_ip"]),
+    "data.subsample": ("500", 500),
+    "split.train_fraction": ("0.6", 0.6),
+    "augment.policy": ("none", "none"),
+    "gan.noise_dim": ("8", 8),
+    "gan.learning_rate": ("0.05", 0.05),
+    "gan.batch_size": ("16", 16),
+    "gan.epochs": ("7", 7),
+    "extractor.blocks": ("3", 3),
+    "extractor.base_channels": ("8", 8),
+    "extractor.feature_dim": ("12", 12),
+    "extractor.epochs": ("4", 4),
+    "extractor.learning_rate": ("0.02", 0.02),
+    "extractor.batch_size": ("64", 64),
+    "aso.population": ("6", 6),
+    "aso.iterations": ("9", 9),
+    "aso.depth_weight": ("25.5", 25.5),
+    "aso.multiplier_weight": ("0.4", 0.4),
+    "aso.force_law": ("literal", "literal"),
+    "aso.proxy_epochs": ("2", 2),
+    "tune.skip": ("yes", True),
+    "classifier.input": ("raw", "raw"),
+    "run.seed": ("11", 11),
+    "run.out": ("runs/x", "runs/x"),
+}
+
+
+def test_config_samples_cover_every_key():
+    assert set(CONFIG_SAMPLES) == set(pl.CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(pl.CONFIG_KEYS))
+def test_config_key_round_trips(tmp_path, key):
+    raw, parsed = CONFIG_SAMPLES[key]
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text(f"{key} = {raw}\n")
+    cfg = pl.config_from_file(cfg_path)
+    default = pl.PipelineConfig()
+    parent, _, name = pl.CONFIG_KEYS[key][0].rpartition(".")
+    value = getattr(getattr(cfg, parent) if parent else cfg, name)
+    assert value == parsed and type(value) is type(parsed)
+    assert value != getattr(getattr(default, parent) if parent else default, name)
+    # every other field keeps its default
+    setattr(getattr(cfg, parent) if parent else cfg, name,
+            getattr(getattr(default, parent) if parent else default, name))
+    assert cfg == default
+
+
+def test_parse_config_rejects_unknown_classifier_override(tmp_path):
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("classifier.momentun = 0.5\n")
+    with pytest.raises(ValueError, match="unknown classifier override 'momentun'"):
+        pl.config_from_file(cfg_path)
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):

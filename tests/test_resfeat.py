@@ -8,7 +8,7 @@ from dosids import ndgrad as ng
 from dosids.ndgrad import Tensor, grad_check
 from dosids.resfeat import (FeatureExtractor, ResidualBlock,
                             build_feature_extractor, extract_features,
-                            residual_block_forward, train_feature_extractor)
+                            train_feature_extractor)
 from dosids.seeding import substream
 from conftest import cluster_dataset
 
@@ -18,14 +18,14 @@ def test_block_identity_when_main_path_zeroed():
     for conv in (block.conv1, block.conv2, block.conv3):
         conv.weight.data[:] = 0.0
     x = Tensor(np.random.default_rng(1).normal(size=(2, 4, 6)))
-    out = residual_block_forward(block, x, train=False)  # fresh running stats
+    out = block(x, train=False)  # fresh running stats
     assert np.array_equal(out.data, x.data)
 
 
 def test_block_shape_with_channel_change_and_stride():
     block = ResidualBlock(4, 8, stride=2, rng=substream(1, "b"))
     x = Tensor(np.random.default_rng(2).normal(size=(3, 4, 9)))
-    out = residual_block_forward(block, x, train=True)
+    out = block(x, train=True)
     assert out.shape == (3, 8, 5)
     assert block.proj is not None
 
@@ -34,7 +34,7 @@ def test_block_gradient_flows_through_both_paths():
     block = ResidualBlock(3, 3, stride=1, rng=substream(2, "b"))
     x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 5)), requires_grad=True)
     params = block.parameters()
-    err = grad_check(lambda: residual_block_forward(block, x, train=True).mean(),
+    err = grad_check(lambda: block(x, train=True).mean(),
                      [x] + params, max_coords=120,
                      rng=np.random.default_rng(0))
     assert err < 1e-4

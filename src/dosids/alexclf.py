@@ -127,10 +127,6 @@ class AlexNetClassifier(ng.Module):
         self.dense2 = ng.Dense(dense_widths[0], dense_widths[1], rng=rng)
         self.softmax_head = ng.Dense(dense_widths[1], n_classes, rng=rng)
 
-    def layer_census(self) -> dict:
-        return {"conv": len(self.convs), "pool": len(self.pools), "lrn": 2,
-                "dense": 2, "softmax": 1}
-
     def logits(self, x: ng.Tensor, train: bool,
                rng: np.random.Generator | None = None) -> ng.Tensor:
         """x is [batch, 1, feature_dim]. Dropout guards the two hidden

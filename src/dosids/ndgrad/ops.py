@@ -229,12 +229,13 @@ def _window_sum_channels(a: np.ndarray, half: int) -> np.ndarray:
     """Sum over the channel window [c-half, c+half], clipped to the edges."""
     t = a.shape[1]
     cs = np.cumsum(a, axis=1)
-    hi = np.minimum(np.arange(t) + half, t - 1)
-    lo = np.arange(t) - half
-    upper = cs[:, hi]
-    lower = np.where((lo > 0).reshape((1, t) + (1,) * (a.ndim - 2)),
-                     cs[:, np.maximum(lo - 1, 0)], 0.0)
-    return upper - lower
+    out = np.empty_like(cs)
+    inner = max(t - half, 0)             # channels whose window ends inside
+    out[:, :inner] = cs[:, half:]
+    out[:, inner:] = cs[:, t - 1:]
+    if half + 1 < t:
+        out[:, half + 1:] -= cs[:, :t - half - 1]
+    return out
 
 
 def lrn(x: Tensor, size: int = 5, alpha: float = 1e-4, beta: float = 0.75,
@@ -265,9 +266,16 @@ def lrn(x: Tensor, size: int = 5, alpha: float = 1e-4, beta: float = 0.75,
 # ---- pooling ---------------------------------------------------------------
 
 def max_pool1d(x: Tensor, window: int, stride: int) -> Tensor:
-    b, c, length = x.shape
+    length = x.shape[2]
     if window > length:
         raise ValueError(f"pool window {window} exceeds length {length}")
+    if window == stride:
+        return _max_pool1d_tiled(x, window)
+    return _max_pool1d_sliding(x, window, stride)
+
+
+def _max_pool1d_sliding(x: Tensor, window: int, stride: int) -> Tensor:
+    b, c, _ = x.shape
     patches = _sliding_patches(x.data, window, stride)   # [B, C, W, T]
     t = patches.shape[3]
     arg = patches.argmax(axis=2)                         # [B, C, T]
@@ -279,6 +287,25 @@ def max_pool1d(x: Tensor, window: int, stride: int) -> Tensor:
         ci = np.arange(c)[None, :, None]
         pos = arg + stride * np.arange(t)[None, None, :]
         np.add.at(dx, (bi, ci, pos), g)
+        _accumulate(x, dx)
+
+    return make_from_op(out_data, (x,), bw)
+
+
+def _max_pool1d_tiled(x: Tensor, window: int) -> Tensor:
+    """max_pool1d with stride == window: disjoint tiles, so no scatter-add.
+    A trailing remainder shorter than the window is dropped."""
+    b, c, length = x.shape
+    t = length // window
+    tiles = x.data[:, :, :t * window].reshape(b, c, t, window)
+    arg = tiles.argmax(axis=3)[..., None]                # [B, C, T, 1]
+    out_data = np.take_along_axis(tiles, arg, axis=3)[..., 0]
+
+    def bw(g):
+        dx = np.zeros_like(x.data)
+        # 0.0 + g, as a scatter-add into zeros gives: -0.0 becomes +0.0
+        np.put_along_axis(dx[:, :, :t * window].reshape(b, c, t, window), arg,
+                          0.0 + g[..., None], axis=3)
         _accumulate(x, dx)
 
     return make_from_op(out_data, (x,), bw)

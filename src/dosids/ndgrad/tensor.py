@@ -118,17 +118,6 @@ class Tensor:
     def __rsub__(self, other):
         return as_tensor(other) + (-self)
 
-    def __matmul__(self, other):
-        out_data = self.data @ other.data
-
-        def bw(g):
-            if self.requires_grad:
-                _accumulate(self, g @ other.data.T)
-            if other.requires_grad:
-                _accumulate(other, self.data.T @ g)
-
-        return make_from_op(out_data, (self, other), bw)
-
     def log(self):
         out_data = np.log(self.data)
 

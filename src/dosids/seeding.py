@@ -6,6 +6,7 @@ never perturbs the draws of existing ones, which is what makes whole
 pipeline runs reproducible bit for bit.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -13,11 +14,18 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=1024)
+def _name_to_int(name: str) -> int:
+    # Names come from a small fixed set ("step", "resample", class names),
+    # while the optimizer derives one substream per atom per iteration.
+    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def _part_to_int(part) -> int:
     if isinstance(part, (int, np.integer)):
         return int(part) & _MASK64
-    digest = hashlib.sha256(str(part).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    return _name_to_int(str(part))
 
 
 def seed_sequence(master_seed, *parts) -> np.random.SeedSequence:

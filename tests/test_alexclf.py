@@ -30,9 +30,10 @@ def quick_hp(**kw):
 
 def test_layer_census():
     clf = build_classifier(16, 10, seed=0)
-    census = clf.layer_census()
-    assert census["conv"] == 3 and census["pool"] == 3
-    assert census["lrn"] == 2 and census["dense"] == 2
+    assert len(clf.convs) == 3 and all(isinstance(c, ng.Conv1d) for c in clf.convs)
+    assert clf.pools == [(2, 2), (2, 2), (2, 2)]
+    assert isinstance(clf.lrn, ng.LocalResponseNorm)
+    assert clf.flat_dim == 64 * 2
 
 
 def test_softmax_width_matches_classes():

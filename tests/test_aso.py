@@ -2,9 +2,15 @@
 benchmark convergence against a random-search baseline, and the
 hyperparameter decode contract."""
 
+import ctypes
+import logging
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from dosids import aso
 from dosids.alexclf import Hyperparameters
 from dosids.aso import (AsoConfig, SearchSpace, BATCH_CHOICES, compute_masses,
                         constraint_force, decode_hyperparameters, depth_function,
@@ -305,3 +311,74 @@ def test_aso_beats_random_search_on_sphere():
     aso_result = optimize(sphere, space, cfg)
     _, rs_best = random_search(sphere, space, aso_result.evaluations, seed=8)
     assert aso_result.fitness * 10.0 <= rs_best
+
+
+def _nan_on_ridge(x):
+    """Sphere with a NaN stripe, so that some atoms need resampling."""
+    return float("nan") if x[0] > 0.9 else float((x ** 2).sum())
+
+
+def test_optimize_same_result_on_one_and_two_workers(caplog):
+    space = SearchSpace([-1.0, -1.0], [1.0, 1.0])
+    cfg = AsoConfig(population=6, iterations=10, seed=3)
+    results = []
+    for workers in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dosids.aso"):
+            results.append(optimize(_nan_on_ridge, space, cfg, workers=workers))
+        assert any("resampled" in r.getMessage() for r in caplog.records)
+    one, two = results
+    assert one.position.tobytes() == two.position.tobytes()
+    assert one.fitness == two.fitness and one.trace == two.trace
+    assert one.evaluations == two.evaluations == 6 * 11
+    assert multiprocessing.active_children() == []
+
+
+def test_tune_same_result_on_one_and_two_cpus(monkeypatch, tmp_path):
+    """The worker count comes from the CPUs available; the result must not
+    depend on it, and no worker may outlive the call."""
+    def trainable(hp):
+        (tmp_path / str(os.getpid())).touch()
+        return abs(hp.momentum - 0.8) + abs(np.log10(hp.learning_rate) + 2.0)
+
+    cfg = AsoConfig(population=6, iterations=4, seed=9)
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(aso, "_available_cpus", lambda: cpus)
+        results[cpus] = tune_hyperparameters(trainable, cfg)
+        assert multiprocessing.active_children() == []
+    pids = {int(p.name) for p in tmp_path.iterdir()}
+    assert os.getpid() in pids and 1 <= len(pids - {os.getpid()}) <= 2
+    one, two = results[1], results[2]
+    assert one.hyperparameters == two.hyperparameters
+    assert one.validation_error == two.validation_error
+    assert one.trace == two.trace and one.evaluations == two.evaluations
+
+
+def test_tune_worker_error_propagates_and_reaps(monkeypatch):
+    def trainable(hp):
+        if hp.batch_size == 128:
+            raise ValueError("proxy run failed")
+        return hp.momentum
+
+    monkeypatch.setattr(aso, "_available_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="proxy run failed"):
+        tune_hyperparameters(trainable, AsoConfig(population=8, iterations=3, seed=1))
+    assert multiprocessing.active_children() == []
+
+
+def test_tune_workers_run_blas_on_one_thread(monkeypatch, tmp_path):
+    get_threads = aso._openblas_function(
+        ("openblas_get_num_threads", "openblas_get_num_threads64_",
+         "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"))
+    if get_threads is None:
+        pytest.skip("no OpenBLAS with a known thread-count getter is loaded")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+
+    def trainable(hp):
+        (tmp_path / f"{os.getpid()}-{get_threads()}").touch()
+        return hp.momentum
+
+    monkeypatch.setattr(aso, "_available_cpus", lambda: 2)
+    tune_hyperparameters(trainable, AsoConfig(population=4, iterations=1, seed=0))
+    assert {p.name.split("-")[1] for p in tmp_path.iterdir()} == {"1"}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dosids import ndgrad as ng
-from dosids.ndgrad import Tensor, grad_check
+from dosids.ndgrad import Tensor, grad_check, ops
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -229,6 +229,47 @@ def test_pool_gradchecks():
     assert grad_check(lambda: ng.max_pool1d(x, 3, 2).mean(), [x]) < TOL
     assert grad_check(lambda: ng.avg_pool1d(x, 2, 2).mean(), [x]) < TOL
     assert grad_check(lambda: ng.global_avg_pool1d(x).mean(), [x]) < TOL
+
+
+@pytest.mark.parametrize("shape, window", [((2, 3, 9), 2), ((2, 3, 8), 2),
+                                           ((1, 2, 7), 3), ((2, 3, 5), 1)])
+def test_max_pool_tiled_matches_sliding(shape, window):
+    """stride == window takes the tiled path; it must give the sliding
+    path's output and gradient byte for byte, with a trailing remainder,
+    tied maxima, relu's -0.0 and -0.0 in the upstream gradient."""
+    rng = RNG(52)
+    data = np.round(rng.normal(size=shape))          # many ties
+    data = data * (data > 0)                         # relu-style -0.0 beside 0.0
+    results = []
+    for pool in (ng.max_pool1d, ops._max_pool1d_sliding):
+        x = Tensor(data.copy(), requires_grad=True)
+        out = pool(x, window, window)
+        g = RNG(53).normal(size=out.shape)
+        g[g < -0.3] = -0.0
+        out.backward(g)
+        results.append((out.data.tobytes(), x.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_max_pool_tied_maxima_first_index_wins():
+    x = Tensor(np.array([[[1.0, 1.0, 0.0, 2.0, 2.0]]]), requires_grad=True)
+    out = ng.max_pool1d(x, 2, 2)
+    assert np.array_equal(out.data, [[[1.0, 2.0]]])
+    out.backward(np.array([[[5.0, 7.0]]]))
+    assert np.array_equal(x.grad, [[[5.0, 0.0, 0.0, 7.0, 0.0]]])
+
+
+@pytest.mark.parametrize("size", [1, 3, 5, 7])
+def test_window_sum_channels_matches_brute_force(size):
+    half = size // 2
+    rng = RNG(54)
+    for channels in (1, 2, 3, 6, 9):
+        a = rng.normal(size=(2, channels, 3))
+        got = ops._window_sum_channels(a, half)
+        for c in range(channels):
+            lo, hi = max(0, c - half), min(channels - 1, c + half)
+            assert np.allclose(got[:, c], a[:, lo:hi + 1].sum(axis=1),
+                               rtol=0.0, atol=1e-12), (size, channels, c)
 
 
 # ---- dense ----------------------------------------------------------------------

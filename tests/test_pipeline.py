@@ -2,6 +2,7 @@
 artifacts, determinism, stage isolation, and the CLI."""
 
 import json
+import multiprocessing
 import re
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from dosids import aso
 from dosids import pipeline as pl
 from dosids.checkpoint import file_digest, load_arrays, save_arrays
 from dosids.cli import main as cli_main
@@ -296,6 +298,24 @@ def test_tune_stage_writes_trace(tiny_run):
     assert all(a >= b for a, b in zip(best, best[1:]))
     payload = json.loads((tmp_path / "out/tune/hyperparams.json").read_text())
     assert payload["tuned"] is True
+
+
+def test_tune_worker_error_is_a_tune_stage_error(tiny_run, monkeypatch):
+    cfg_path, tmp_path = tiny_run
+    cfg = pl.config_from_file(cfg_path)
+    for stage in ("ingest", "augment", "extract"):
+        pl.run_stage(cfg, stage)
+
+    def failing_train(*args, **kwargs):
+        raise FloatingPointError("proxy diverged")
+
+    monkeypatch.setattr(aso, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(pl, "train_classifier", failing_train)
+    with pytest.raises(pl.StageError, match="proxy diverged") as err:
+        pl.run_stage(cfg, "tune")
+    assert err.value.stage == "tune" and err.value.code == pl.STAGE_CODES["tune"]
+    assert not (tmp_path / "out/tune").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_emit_clean_and_synthetic(tiny_run):

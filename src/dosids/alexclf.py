@@ -207,10 +207,11 @@ def predict(clf: AlexNetClassifier, features: np.ndarray,
         raise ValueError("classifier has not been trained")
     features = np.asarray(features, dtype=np.float64)
     probs_parts = []
-    for start in range(0, features.shape[0], batch_size):
-        xb = ng.Tensor(features[start:start + batch_size][:, None, :])
-        logits = clf.logits(xb, train=False)
-        probs_parts.append(ng.softmax_probs(logits.data))
+    with ng.no_grad():
+        for start in range(0, features.shape[0], batch_size):
+            xb = ng.Tensor(features[start:start + batch_size][:, None, :])
+            logits = clf.logits(xb, train=False)
+            probs_parts.append(ng.softmax_probs(logits.data))
     probs = (np.concatenate(probs_parts, axis=0) if probs_parts
              else np.empty((0, clf.n_classes)))
     return probs.argmax(axis=1), probs

@@ -186,7 +186,8 @@ def sample_rows(pair: GanPair, count: int, rng: np.random.Generator) -> np.ndarr
     if count <= 0:
         return np.empty((0, pair.n_features), dtype=np.float64)
     z = ng.Tensor(rng.standard_normal((count, pair.config.noise_dim)))
-    out = pair.generator(z, train=False).data
+    with ng.no_grad():
+        out = pair.generator(z, train=False).data
     return np.clip(out, 0.0, 1.0)
 
 
@@ -204,8 +205,9 @@ def discriminator_accuracy(pair: GanPair, real_rows: np.ndarray,
     over- or under-powered discriminator drifts away from 0.5."""
     real = np.asarray(real_rows, dtype=np.float64)
     fake = sample_rows(pair, real.shape[0], rng)
-    p_real = pair.discriminator(ng.Tensor(real), train=False).data
-    p_fake = pair.discriminator(ng.Tensor(fake), train=False).data
+    with ng.no_grad():
+        p_real = pair.discriminator(ng.Tensor(real), train=False).data
+        p_fake = pair.discriminator(ng.Tensor(fake), train=False).data
     return float(((p_real > 0.5).sum() + (p_fake <= 0.5).sum()) / (2.0 * real.shape[0]))
 
 

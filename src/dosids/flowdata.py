@@ -10,8 +10,8 @@ values directly.
 
 import csv
 import logging
-import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +24,11 @@ KIND_SOCKET = "socket"
 KIND_CONSTANT = "constant"
 
 RETAINED_KINDS = (KIND_NUMERIC, KIND_CATEGORICAL)
+
+# Rows load_flow_csv parses per step: large enough that the per-column
+# numpy calls are cheap per row, small enough that one chunk's strings
+# stay a few hundred KB whatever the file size.
+CHUNK_ROWS = 1024
 
 # Column names the two benchmark flow layouts use for addresses, ports,
 # flow ids and timestamps; always overridable by the caller.
@@ -76,12 +81,30 @@ class Dataset:
         return np.bincount(self.labels, minlength=len(self.class_names))
 
 
-def _parse_finite(value: str) -> float | None:
+def _chunks(reader):
+    """Raw CSV rows in lists of at most CHUNK_ROWS."""
+    while chunk := list(islice(reader, CHUNK_ROWS)):
+        yield chunk
+
+
+def _encode(codes: dict[str, int], values, dtype) -> np.ndarray:
+    """Code stripped values by first appearance, extending `codes`."""
+    return np.array([codes.setdefault(v.strip(), len(codes)) for v in values], dtype=dtype)
+
+
+def _parse_finite(values) -> np.ndarray | None:
+    """The column as float64, or None if a value is not a finite float."""
     try:
-        v = float(value)
+        parsed = np.fromiter(map(float, values), np.float64, len(values))
     except ValueError:
-        return None
-    return v if math.isfinite(v) else None
+        # float() strips whitespace itself, except \x1c-\x1f, which
+        # str.strip() also removes
+        try:
+            parsed = np.fromiter(map(float, map(str.strip, values)), np.float64,
+                                 len(values))
+        except ValueError:
+            return None
+    return parsed if np.isfinite(parsed).all() else None
 
 
 def load_flow_csv(path, label_column: str) -> Dataset:
@@ -90,6 +113,11 @@ def load_flow_csv(path, label_column: str) -> Dataset:
     A column is numeric if every value parses as a finite float,
     categorical otherwise. Rows with the wrong field count are rejected;
     more than 1% rejections fails the load.
+
+    The file is parsed column by column in chunks of CHUNK_ROWS rows, so
+    only one chunk's strings are held at a time. A column that stops
+    parsing after its first chunk is coded from a second read of the
+    file, because the strings of its earlier chunks are gone by then.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -101,64 +129,81 @@ def load_flow_csv(path, label_column: str) -> Dataset:
         if label_column not in header:
             raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
         width = len(header)
-        rows, rejected = [], 0
-        for line in reader:
-            if len(line) != width:
-                rejected += 1
+        label_idx = header.index(label_column)
+        numeric = set(range(width)) - {label_idx}   # every value so far finite
+        codes: dict[int, dict[str, int]] = {label_idx: {}}
+        reread: list[int] = []
+        parts: list[list[np.ndarray]] = [[] for _ in range(width)]
+        n_rows = rejected = 0
+        for chunk in _chunks(reader):
+            rows = [line for line in chunk if len(line) == width]
+            rejected += len(chunk) - len(rows)
+            if not rows:
                 continue
-            rows.append(line)
-    total = len(rows) + rejected
+            for c, values in enumerate(zip(*rows)):
+                if c in numeric:
+                    parsed = _parse_finite(values)
+                    if parsed is not None:
+                        parts[c].append(parsed)
+                        continue
+                    numeric.discard(c)
+                    if n_rows:      # earlier chunks' strings are gone
+                        reread.append(c)
+                        parts[c] = []
+                        continue
+                    codes[c] = {}
+                if c in codes:
+                    dtype = np.int64 if c == label_idx else np.float64
+                    parts[c].append(_encode(codes[c], values, dtype))
+            n_rows += len(rows)
+    total = n_rows + rejected
     if rejected:
         log.warning("%s: rejected %d/%d malformed rows", path, rejected, total)
     if total == 0:
         raise ValueError(f"{path}: no data rows")
     if rejected / total > 0.01:
         raise ValueError(f"{path}: {rejected}/{total} rows malformed (>1%)")
-
-    label_idx = header.index(label_column)
-    class_names: list[str] = []
-    class_codes: dict[str, int] = {}
-    labels = np.empty(len(rows), dtype=np.int64)
-    for r, row in enumerate(rows):
-        value = row[label_idx].strip()
-        if value not in class_codes:
-            class_codes[value] = len(class_names)
-            class_names.append(value)
-        labels[r] = class_codes[value]
+    if reread:
+        _encode_from_file(path, width, reread, codes, parts)
 
     schema: list[ColumnSchema] = []
-    columns: list[np.ndarray] = []
+    slots: list[int] = []
     for c, name in enumerate(header):
         if c == label_idx:
             schema.append(ColumnSchema(name, KIND_LABEL))
             continue
-        raw = [row[c].strip() for row in rows]
-        parsed = [_parse_finite(v) for v in raw]
-        if all(p is not None for p in parsed):
-            schema.append(ColumnSchema(name, KIND_NUMERIC))
-            columns.append(np.array(parsed, dtype=np.float64))
-        else:
-            categories: list[str] = []
-            codes: dict[str, int] = {}
-            col = np.empty(len(raw), dtype=np.float64)
-            for r, v in enumerate(raw):
-                if v not in codes:
-                    codes[v] = len(categories)
-                    categories.append(v)
-                col[r] = codes[v]
-            schema.append(ColumnSchema(name, KIND_CATEGORICAL, categories))
-            columns.append(col)
+        schema.append(ColumnSchema(name, KIND_NUMERIC) if c in numeric
+                      else ColumnSchema(name, KIND_CATEGORICAL, list(codes[c])))
+        slots.append(c)
+    features = np.empty((n_rows, len(slots)), dtype=np.float64)
+    for j, c in enumerate(slots):
+        features[:, j] = np.concatenate(parts[c])
+        parts[c] = []
+    return Dataset(features=features, labels=np.concatenate(parts[label_idx]),
+                   class_names=list(codes[label_idx]), schema=schema)
 
-    features = (np.column_stack(columns) if columns
-                else np.empty((len(rows), 0), dtype=np.float64))
-    return Dataset(features=features, labels=labels, class_names=class_names, schema=schema)
+
+def _encode_from_file(path, width: int, columns: list[int],
+                      codes: dict[int, dict[str, int]], parts: list[list[np.ndarray]]):
+    """Code `columns` as categorical from a fresh read of the whole file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for c in columns:
+            codes[c] = {}
+        for chunk in _chunks(reader):
+            rows = [line for line in chunk if len(line) == width]
+            for c in columns:
+                parts[c].append(_encode(codes[c], (line[c] for line in rows), np.float64))
 
 
 def drop_socket_and_constant_features(d: Dataset, socket_names: list[str]) -> Dataset:
     """Remove socket-named columns and columns constant across all rows.
 
     Dropped columns stay in the schema with their kind flipped to
-    socket/constant for audit. Idempotent: a second pass finds nothing.
+    socket/constant for audit; their category lists, which nothing reads
+    once the column is gone, are cleared. Idempotent: a second pass finds
+    nothing.
     """
     known = {c.name for c in d.schema}
     for name in socket_names:
@@ -175,9 +220,9 @@ def drop_socket_and_constant_features(d: Dataset, socket_names: list[str]) -> Da
             continue
         values = d.features[:, slot]
         if col.name in socket_set:
-            new_schema.append(replace(col, kind=KIND_SOCKET))
+            new_schema.append(replace(col, kind=KIND_SOCKET, categories=None))
         elif d.n_rows > 0 and np.all(values == values[0]):
-            new_schema.append(replace(col, kind=KIND_CONSTANT))
+            new_schema.append(replace(col, kind=KIND_CONSTANT, categories=None))
         else:
             new_schema.append(col)
             keep_slots.append(slot)

@@ -1,4 +1,4 @@
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, no_grad
 from .ops import (
     activation, avg_pool1d, batch_norm1d, conv1d, conv_transpose1d, dense,
     dropout, global_avg_pool1d, leaky_relu, lrn, max_pool1d, relu,
@@ -10,7 +10,7 @@ from .nn import (
 from .gradcheck import grad_check
 
 __all__ = [
-    "Tensor", "as_tensor",
+    "Tensor", "as_tensor", "no_grad",
     "activation", "avg_pool1d", "batch_norm1d", "conv1d", "conv_transpose1d",
     "dense", "dropout", "global_avg_pool1d", "leaky_relu", "lrn", "max_pool1d",
     "relu", "RunningStats", "sigmoid", "softmax_cross_entropy",

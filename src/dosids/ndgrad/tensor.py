@@ -9,9 +9,16 @@ residual skip connections come out right without special handling.
 
 All computation is float64: the finite-difference checks in
 ``dosids.ndgrad.gradcheck`` rely on it.
+
+Inside ``with no_grad():`` no op records a graph, so an inference
+forward keeps no closures or intermediate arrays alive.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_grad_enabled = True
 
 
 def _as_array(data) -> np.ndarray:
@@ -183,10 +190,23 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+@contextmanager
+def no_grad():
+    """Record no graph inside the block; the previous state returns on
+    exit, also when the block raises."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def make_from_op(data, parents, backward) -> Tensor:
-    """Result tensor wired into the graph iff any parent requires grad."""
+    """Result tensor wired into the graph iff graph recording is on and
+    any parent requires grad."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

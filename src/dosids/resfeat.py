@@ -169,8 +169,9 @@ def extract_features(f: FeatureExtractor, d, batch_size: int = 256) -> np.ndarra
         raise ValueError(f"extractor was built for {f.input_features} features, "
                          f"got {features.shape[1]}")
     parts = []
-    for start in range(0, features.shape[0], batch_size):
-        xb = ng.Tensor(features[start:start + batch_size][:, None, :])
-        parts.append(f.forward(xb, train=False).data)
+    with ng.no_grad():
+        for start in range(0, features.shape[0], batch_size):
+            xb = ng.Tensor(features[start:start + batch_size][:, None, :])
+            parts.append(f.forward(xb, train=False).data)
     return (np.concatenate(parts, axis=0) if parts
             else np.empty((0, f.feature_dim), dtype=np.float64))

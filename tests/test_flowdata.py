@@ -1,13 +1,158 @@
 """Preprocessing contracts: parsing, column dropping, encoding,
 normalization, and the stratified split."""
 
+import csv
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from dosids import flowdata as fd
 from conftest import cluster_dataset
+
+
+def reference_load(path, label_column: str) -> fd.Dataset:
+    """The per-cell loader that the chunked one replaced, kept as its
+    oracle: the whole file as rows, then each column stripped, parsed
+    cell by cell and typed all or nothing."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows, rejected = [], 0
+        for line in reader:
+            if len(line) == len(header):
+                rows.append(line)
+            else:
+                rejected += 1
+    total = len(rows) + rejected
+    if total == 0:
+        raise ValueError(f"{path}: no data rows")
+    if rejected / total > 0.01:
+        raise ValueError(f"{path}: {rejected}/{total} rows malformed (>1%)")
+
+    def finite(value):
+        try:
+            v = float(value)
+        except ValueError:
+            return None
+        return v if math.isfinite(v) else None
+
+    label_idx = header.index(label_column)
+    class_codes: dict[str, int] = {}
+    labels = np.empty(len(rows), dtype=np.int64)
+    for r, row in enumerate(rows):
+        labels[r] = class_codes.setdefault(row[label_idx].strip(), len(class_codes))
+    schema, columns = [], []
+    for c, name in enumerate(header):
+        if c == label_idx:
+            schema.append(fd.ColumnSchema(name, fd.KIND_LABEL))
+            continue
+        raw = [row[c].strip() for row in rows]
+        parsed = [finite(v) for v in raw]
+        if all(p is not None for p in parsed):
+            schema.append(fd.ColumnSchema(name, fd.KIND_NUMERIC))
+            columns.append(np.array(parsed, dtype=np.float64))
+        else:
+            codes: dict[str, int] = {}
+            col = np.empty(len(raw), dtype=np.float64)
+            for r, v in enumerate(raw):
+                col[r] = codes.setdefault(v, len(codes))
+            schema.append(fd.ColumnSchema(name, fd.KIND_CATEGORICAL, list(codes)))
+            columns.append(col)
+    features = (np.column_stack(columns) if columns
+                else np.empty((len(rows), 0), dtype=np.float64))
+    return fd.Dataset(features=features, labels=labels,
+                      class_names=list(class_codes), schema=schema)
+
+
+def assert_same_load(path, label_column="label"):
+    """load_flow_csv and the reference give the same Dataset byte for
+    byte, or raise the same error."""
+    try:
+        want = reference_load(path, label_column)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            fd.load_flow_csv(path, label_column)
+        assert str(err.value) == str(exc)
+        return None
+    got = fd.load_flow_csv(path, label_column)
+    assert got.schema == want.schema
+    assert got.class_names == want.class_names
+    for a, b in ((got.features, want.features), (got.labels, want.labels)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    return got
+
+
+def numeric_rows(n, late=None, at=None):
+    """n rows of a numeric column `a`, a column `b` that is numeric except
+    for the value `late` in row `at`, a categorical `proto` and a label."""
+    rows = []
+    for r in range(n):
+        b = late if r == at else f"{r * 0.25 - 1.0!r}"
+        rows.append(f"{r},{b},{('tcp', 'udp', 'icmp')[r % 3]},{'xy'[r % 2]}")
+    return "a,b,proto,label\n" + "\n".join(rows) + "\n"
+
+
+CHUNKED_CASES = {
+    "3 rows": numeric_rows(3),
+    "4 rows": numeric_rows(4),
+    "5 rows": numeric_rows(5),
+    "9 rows": numeric_rows(9),
+    "word in first chunk": numeric_rows(9, "http", 2),
+    "word in second chunk": numeric_rows(9, "http", 4),
+    "Infinity in last chunk": numeric_rows(9, "Infinity", 8),
+    "nan in later chunk": numeric_rows(9, "nan", 5),
+    "empty cell in later chunk": numeric_rows(9, "", 7),
+    "-inf in later chunk": numeric_rows(9, " -inf ", 6),
+    "padding": ("a,b,label\n 1.5 ,\t2, x\n3 ,4,x \n\x1c5\x1c,6,y\n"
+                "7,\x1c8,x\n 9,10 ,\ty\n"),
+    "padding turns categorical later": ("a,b,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n"
+                                        " 9 , word ,x\n9,word,y\n"),
+    "quoted fields": ('a,proto,label\n1,"tcp,syn",x\n"2",udp,"y,z"\n3,"multi\nline",x\n'
+                      '4,"tcp,syn",y\n"5\n",udp,x\n6,"a ""quoted"" one",x\n'),
+    "label only": "label\nx\ny\nx\n",
+    "header only": "a,b,label\n",
+    "malformed over 1%": numeric_rows(9).replace("\n5,", "\n5,0,"),
+    "malformed under 1%": "\n".join(
+        line + (",extra" if i in (3, 150) else "")
+        for i, line in enumerate(numeric_rows(240, "Infinity", 200).split("\n"))),
+    "first chunk all malformed": "\n".join(
+        line + (",extra" if 1 <= i <= 4 else "")
+        for i, line in enumerate(numeric_rows(500, "word", 100).split("\n"))),
+    "blank lines": numeric_rows(9).replace("\n3,", "\n\n3,") + "\n" * 2,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+def test_chunked_load_matches_reference(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(fd, "CHUNK_ROWS", 4)
+    path = tmp_path / "t.csv"
+    path.write_text(CHUNKED_CASES[case], encoding="utf-8", newline="")
+    assert_same_load(path)
+
+
+def test_chunked_load_column_kinds(tmp_path, monkeypatch):
+    """A value that stops a column parsing in a later chunk types the
+    whole column categorical, the earlier numbers included."""
+    monkeypatch.setattr(fd, "CHUNK_ROWS", 4)
+    path = tmp_path / "t.csv"
+    path.write_text(numeric_rows(9, "Infinity", 8), encoding="utf-8")
+    ds = assert_same_load(path)
+    kinds = {c.name: (c.kind, c.categories) for c in ds.schema}
+    assert kinds["a"] == (fd.KIND_NUMERIC, None)
+    assert kinds["b"][0] == fd.KIND_CATEGORICAL
+    assert kinds["b"][1][:2] == ["-1.0", "-0.75"] and kinds["b"][1][-1] == "Infinity"
+    assert np.array_equal(ds.features[:, 1], np.arange(9.0))
+
+
+def test_load_full_size_chunks_match_reference(tmp_path):
+    """More rows than one default chunk, with a word after the first."""
+    path = tmp_path / "t.csv"
+    path.write_text(numeric_rows(fd.CHUNK_ROWS * 2 + 5, "word", fd.CHUNK_ROWS + 3),
+                    encoding="utf-8")
+    ds = assert_same_load(path)
+    assert ds.n_rows == fd.CHUNK_ROWS * 2 + 5
 
 
 def test_load_basic_csv(tmp_path):
@@ -80,6 +225,20 @@ def test_drop_socket_and_constant(flow_csv):
     assert "src_ip" not in out.feature_names()
     assert "const_col" not in out.feature_names()
     assert out.n_features == ds.n_features - 2
+    categories = {c.name: c.categories for c in out.schema}
+    assert categories["src_ip"] is None
+    assert categories["proto"] == ["tcp", "udp", "icmp"]
+
+
+def test_drop_clears_categories_of_dropped_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("ip,flag,proto,label\n1.2.3.4,A,tcp,x\n5.6.7.8,A,udp,y\n"
+                    "1.2.3.4,A,tcp,y\n")
+    out = fd.drop_socket_and_constant_features(fd.load_flow_csv(path, "label"), ["ip"])
+    schema = {c.name: (c.kind, c.categories) for c in out.schema}
+    assert schema["ip"] == (fd.KIND_SOCKET, None)
+    assert schema["flag"] == (fd.KIND_CONSTANT, None)
+    assert schema["proto"] == (fd.KIND_CATEGORICAL, ["tcp", "udp"])
 
 
 def test_drop_unknown_socket_name_warns(flow_csv, caplog):

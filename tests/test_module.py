@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from dosids import ndgrad as ng
-from dosids.alexclf import build_classifier
-from dosids.augment import GanConfig, train_dcgan
-from dosids.resfeat import build_feature_extractor
+from dosids.alexclf import build_classifier, predict
+from dosids.augment import GanConfig, discriminator_accuracy, sample_rows, train_dcgan
+from dosids.resfeat import build_feature_extractor, extract_features
+from dosids.seeding import substream
 
 NETWORKS = ("extractor", "classifier", "generator", "discriminator")
 
@@ -87,3 +88,55 @@ def test_load_state_rejects_missing_and_unexpected_keys():
     del state["convs.0.bias"]
     with pytest.raises(ValueError, match="missing 'convs.0.bias'"):
         clf.load_state(state)
+
+
+def _spy(monkeypatch, owner, attr) -> list:
+    """Replace owner.attr by a wrapper that keeps every tensor it returns."""
+    original, outputs = getattr(owner, attr), []
+
+    def spy(*args, **kwargs):
+        outputs.append(original(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(owner, attr, spy)
+    return outputs
+
+
+def test_inference_entry_points_build_no_graph(monkeypatch):
+    """predict, extract_features, sample_rows and discriminator_accuracy
+    give the bytes of the graph-building eval forward, and no tensor their
+    forwards return carries a graph."""
+    rng = np.random.default_rng(0)
+    rows = rng.uniform(0.2, 0.8, (12, 10))
+    x = ng.Tensor(rows[:, None, :])
+    spied = []
+
+    f = build_feature_extractor(10, blocks=5, feature_dim=6, seed=3)
+    f.forward(x, train=True)
+    f.frozen = True
+    expected = f.forward(x, train=False)
+    assert expected.requires_grad
+    spied.append(_spy(monkeypatch, f, "forward"))
+    assert extract_features(f, rows).tobytes() == expected.data.tobytes()
+
+    clf = build_classifier(10, 3, seed=3)
+    clf.trained = True
+    expected = ng.softmax_probs(clf.logits(x, train=False).data)
+    spied.append(_spy(monkeypatch, clf, "logits"))
+    assert predict(clf, rows)[1].tobytes() == expected.tobytes()
+
+    pair = train_dcgan(rows, GanConfig(epochs=1, batch_size=4, seed=3))
+    z = ng.Tensor(substream(3, "sample").standard_normal((5, pair.config.noise_dim)))
+    expected = np.clip(pair.generator(z, train=False).data, 0.0, 1.0)
+    fake = sample_rows(pair, 12, substream(3, "probe"))
+    p_real = pair.discriminator(ng.Tensor(rows), train=False).data
+    p_fake = pair.discriminator(ng.Tensor(fake), train=False).data
+    accuracy = ((p_real > 0.5).sum() + (p_fake <= 0.5).sum()) / 24.0
+    spied.append(_spy(monkeypatch, pair, "generator"))
+    spied.append(_spy(monkeypatch, pair, "discriminator"))
+    assert sample_rows(pair, 5, substream(3, "sample")).tobytes() == expected.tobytes()
+    assert discriminator_accuracy(pair, rows, substream(3, "probe")) == accuracy
+
+    for outputs in spied:
+        assert outputs
+        assert all(not t.requires_grad and t._parents == () for t in outputs)

@@ -259,6 +259,29 @@ def test_max_pool_tied_maxima_first_index_wins():
     assert np.array_equal(x.grad, [[[5.0, 0.0, 0.0, 7.0, 0.0]]])
 
 
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_max_pool_tiled_chain_matches_argmax(window):
+    """The tiled forward's comparison chain picks what argmax picks, byte
+    for byte: the first maximum (-0.0 ties 0.0), the first NaN over any
+    number, and ±inf; the gradient lands on that position."""
+    pool = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0])
+    data = RNG(55).choice(pool, size=(4, 3, 50 * window + 1))
+    b, c, length = data.shape
+    t = length // window
+    tiles = data[:, :, :t * window].reshape(b, c, t, window)
+    arg = tiles.argmax(axis=3)[..., None]
+    want = np.take_along_axis(tiles, arg, axis=3)[..., 0]
+    want_grad = np.zeros_like(data)
+    np.put_along_axis(want_grad[:, :, :t * window].reshape(b, c, t, window), arg,
+                      np.ones_like(arg, dtype=np.float64), axis=3)
+
+    x = Tensor(data, requires_grad=True)
+    out = ng.max_pool1d(x, window, window)
+    out.backward(np.ones(out.shape))
+    assert out.data.tobytes() == want.tobytes()
+    assert x.grad.tobytes() == want_grad.tobytes()
+
+
 @pytest.mark.parametrize("size", [1, 3, 5, 7])
 def test_window_sum_channels_matches_brute_force(size):
     half = size // 2
@@ -451,3 +474,43 @@ def test_two_training_steps_bit_identical():
 def test_backward_requires_grad():
     with pytest.raises(ValueError):
         Tensor(np.zeros(3)).mean().backward()
+
+
+def test_no_grad_records_no_graph_and_restores():
+    w = Tensor(RNG(60).normal(size=(3, 4)), requires_grad=True)
+    x = Tensor(RNG(61).normal(size=(2, 4)))
+    with ng.no_grad():
+        out = ng.relu(ng.dense(x, w))
+        with ng.no_grad():
+            inner = x * w.sum()
+        assert not inner.requires_grad           # nested exit keeps it off
+        again = x * w.sum()
+    for t in (out, inner, again):
+        assert not t.requires_grad and t._parents == () and t._backward is None
+    assert np.array_equal(out.data, ng.relu(ng.dense(x, w)).data)
+    assert ng.dense(x, w).requires_grad
+
+
+def test_no_grad_restores_after_exception():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with ng.no_grad():
+            raise RuntimeError("inside")
+    out = (w * 2.0).sum()
+    assert out.requires_grad and out._parents
+    out.backward()
+    assert np.array_equal(w.grad, [2.0, 2.0, 2.0])
+
+
+def test_training_step_after_inference_gets_gradients():
+    rng = RNG(62)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    data, targets = rng.normal(size=(6, 4)), rng.integers(0, 3, 6)
+    with ng.no_grad():
+        ng.dense(Tensor(data), w)
+    loss, _ = ng.softmax_cross_entropy(ng.dense(Tensor(data), w), targets)
+    loss.backward()
+    assert w.grad is not None and np.any(w.grad != 0.0)
+    before = w.data.copy()
+    ng.SGD([w], 0.1).step()
+    assert not np.array_equal(w.data, before)

@@ -258,6 +258,27 @@ def test_full_run_artifacts_and_manifest(tiny_run):
     assert manifest["hyperparameters"]["batch_size"] == 32
 
 
+def test_dataset_json_lists_categories_of_retained_columns_only(tiny_run):
+    """Socket and constant columns keep their name and kind for audit but
+    no category list; the retained categorical column keeps its values."""
+    cfg_path, tmp_path = tiny_run
+    lines = (tmp_path / "flows.csv").read_text().splitlines()
+    flags = ("A", "A", "B")
+    text = [lines[0] + ",flag,const_flag"]
+    text += [f"{line},{flags[i % 3]},Z" for i, line in enumerate(lines[1:])]
+    (tmp_path / "flows.csv").write_text("\n".join(text) + "\n")
+    cfg = pl.config_from_file(cfg_path)
+    pl.run_stage(cfg, "ingest")
+    meta = json.loads((tmp_path / "out/ingest/dataset.json").read_text())
+    schema = {c["name"]: (c["kind"], c["categories"]) for c in meta["schema"]}
+    assert schema["src_ip"] == ("socket", None)
+    assert schema["const_col"] == ("constant", None)
+    assert schema["const_flag"] == ("constant", None)
+    one_hot = sorted(name for name in schema if "=" in name)
+    assert one_hot == ["flag=A", "flag=B", "proto=icmp", "proto=tcp", "proto=udp"]
+    assert all(schema[name] == ("numeric", None) for name in one_hot)
+
+
 def test_augment_stage_idempotent(tiny_run):
     cfg_path, tmp_path = tiny_run
     cfg = pl.config_from_file(cfg_path)

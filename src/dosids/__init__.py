@@ -10,6 +10,8 @@ Library layout:
 - ``resfeat``    1D residual feature extractor (train, freeze, extract)
 - ``alexclf``    reduced 1D AlexNet-style classifier with LRN layers
 - ``aso``        atom-search optimizer and classifier hyperparameter tuning
+- ``parallel``   process pools for independent jobs (per-class GANs,
+                 atom-search generations)
 - ``evalkit``    confusion matrices, per-class/macro metrics, report rendering
 - ``pipeline``   staged end-to-end runs with checkpoints and a manifest
 - ``cli``        ``dosids`` command-line entry point

@@ -11,14 +11,13 @@ Per-atom, per-iteration random substreams make results independent of
 evaluation order and bit-reproducible from the config seed.
 """
 
-import contextlib
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .alexclf import Hyperparameters
 from .seeding import substream
 
@@ -245,80 +244,6 @@ def step(positions: np.ndarray, velocities: np.ndarray, fitnesses: np.ndarray,
     return new_positions, new_velocities
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot tell
-    (no sched_getaffinity on macOS or Windows), which keeps tuning serial."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
-def _openblas_function(names):
-    """The first of `names` that an OpenBLAS loaded in this process
-    exports, as a ctypes function, or None. Linux only: the libraries are
-    found in /proc/self/maps."""
-    import ctypes
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in names:
-            if hasattr(lib, name):
-                return getattr(lib, name)
-    return None
-
-
-def _limit_blas_to_one_thread():
-    """The workers already use every CPU, so each BLAS call runs on one
-    thread. A forked worker keeps OpenBLAS's default of a thread per CPU;
-    on a 2-CPU Xeon VM a desk-preset tune then took 74 s against 21 s with
-    one. Without a known OpenBLAS setter this does nothing."""
-    import ctypes
-    setter = _openblas_function(("openblas_set_num_threads", "openblas_set_num_threads64_",
-                                 "scipy_openblas_set_num_threads",
-                                 "scipy_openblas_set_num_threads64_"))
-    if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
-
-
-_worker_objective = None   # set in each pool worker by _init_worker
-
-
-def _init_worker(objective):
-    global _worker_objective
-    _worker_objective = objective
-    _limit_blas_to_one_thread()
-
-
-def _call_worker_objective(position) -> float:
-    return float(_worker_objective(position))
-
-
-@contextlib.contextmanager
-def _generation_evaluator(objective, workers: int):
-    """Yield a function mapping a list of positions to objective values, in
-    order. With more than one worker the positions go to a fork-context
-    process pool, whose workers inherit `objective` instead of receiving
-    it pickled; the pool is shut down and reaped on exit, also on error."""
-    if workers == 1:
-        yield lambda positions: [objective(x) for x in positions]
-        return
-    # Imported here: it adds about 10 ms to every start, and only a
-    # parallel tune needs it.
-    import multiprocessing
-    pool = multiprocessing.get_context("fork").Pool(workers, _init_worker, (objective,))
-    try:
-        yield lambda positions: pool.map(_call_worker_objective, positions, chunksize=1)
-    finally:
-        pool.terminate()
-        pool.join()
-
-
 def optimize(objective, space: SearchSpace, cfg: AsoConfig, workers: int = 1) -> AsoResult:
     """Minimize `objective` over the box; deterministic given cfg.seed.
 
@@ -335,7 +260,7 @@ def optimize(objective, space: SearchSpace, cfg: AsoConfig, workers: int = 1) ->
     velocities = rng0.uniform(-span / 10.0, span / 10.0, (n, d))
     fitnesses = np.empty(n)
 
-    with _generation_evaluator(objective, workers) as evaluate_all:
+    with parallel.map_jobs(objective, workers) as evaluate_all:
         def evaluate_generation(positions, nt):
             for i, value in enumerate(evaluate_all(list(positions))):
                 fitnesses[i], positions[i] = _evaluate(objective, value, positions[i],
@@ -419,7 +344,7 @@ def tune_hyperparameters(trainable, cfg: AsoConfig) -> TuneResult:
         return float(trainable(decode_hyperparameters(position)))
 
     result = optimize(objective, space, cfg,
-                      workers=min(cfg.population, _available_cpus()))
+                      workers=min(cfg.population, parallel.available_cpus()))
     hp = decode_hyperparameters(result.position)
     hp.validate()
     return TuneResult(hyperparameters=hp, validation_error=result.fitness,

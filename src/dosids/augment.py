@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ndgrad as ng
+from . import parallel
 from .flowdata import Dataset
 from .seeding import substream, substream_seed
 
@@ -235,7 +236,9 @@ def oversample_minorities(d: Dataset, targets: dict, cfg: GanConfig) -> Dataset:
 
     Original rows stay untouched, in order, as a prefix; synthetic rows
     append in ascending class order. Per-class seeds derive from
-    cfg.seed, so reruns are identical.
+    cfg.seed, so reruns are identical. The GAN classes train on
+    min(GAN classes, available CPUs) processes; the result does not
+    depend on that count.
     """
     targets = _normalize_targets(d, targets)
     counts = d.class_counts()
@@ -243,22 +246,30 @@ def oversample_minorities(d: Dataset, targets: dict, cfg: GanConfig) -> Dataset:
         if target < counts[cls]:
             raise ValueError(f"target {target} for class {d.class_names[cls]!r} "
                              f"is below its current count {counts[cls]}")
+    needs = {cls: targets[cls] - counts[cls] for cls in sorted(targets)
+             if targets[cls] > counts[cls]}
+    gan_classes = [cls for cls in needs if counts[cls] >= MIN_GAN_ROWS]
+
+    def class_seed(cls):
+        return substream_seed(cfg.seed, "class", cls)
+
+    def gan_rows(cls):
+        pair = train_dcgan(d.features[d.labels == cls], replace(cfg, seed=class_seed(cls)))
+        return sample_rows(pair, needs[cls], substream(class_seed(cls), "sample"))
+
+    workers = min(len(gan_classes), parallel.available_cpus())
+    with parallel.map_jobs(gan_rows, workers) as map_gans:
+        synth_by_class = dict(zip(gan_classes, map_gans(gan_classes)))
     synth_feats, synth_labels = [], []
-    for cls in sorted(targets):
-        need = targets[cls] - counts[cls]
-        if need == 0:
-            continue
-        rows = d.features[d.labels == cls]
-        class_seed = substream_seed(cfg.seed, "class", cls)
-        if rows.shape[0] < MIN_GAN_ROWS:
+    for cls, need in needs.items():
+        if cls not in synth_by_class:
+            rows = d.features[d.labels == cls]
             log.warning("class %r has %d rows; using duplicate-with-jitter "
                         "oversampling instead of a GAN",
                         d.class_names[cls], rows.shape[0])
-            synth = jitter_rows(rows, need, substream(class_seed, "jitter"))
-        else:
-            pair = train_dcgan(rows, replace(cfg, seed=class_seed))
-            synth = sample_rows(pair, need, substream(class_seed, "sample"))
-        synth_feats.append(synth)
+            synth_by_class[cls] = jitter_rows(rows, need,
+                                              substream(class_seed(cls), "jitter"))
+        synth_feats.append(synth_by_class[cls])
         synth_labels.append(np.full(need, cls, dtype=np.int64))
     if not synth_feats:
         return d

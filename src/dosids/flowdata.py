@@ -30,13 +30,15 @@ RETAINED_KINDS = (KIND_NUMERIC, KIND_CATEGORICAL)
 # stay a few hundred KB whatever the file size.
 CHUNK_ROWS = 1024
 
-# Column names the two benchmark flow layouts use for addresses, ports,
-# flow ids and timestamps; always overridable by the caller.
-DEFAULT_SOCKET_COLUMNS = [
-    "srcip", "sport", "dstip", "dsport", "stime", "ltime",
-    "Flow ID", "Source IP", "Source Port", "Destination IP",
-    "Destination Port", "Timestamp",
-]
+# Column names the two benchmark flow layouts (UNSW-NB15, CICFlowMeter)
+# use for addresses, ports, flow ids and timestamps; the default list is
+# both, always overridable by the caller.
+SOCKET_LAYOUTS = (
+    ("srcip", "sport", "dstip", "dsport", "stime", "ltime"),
+    ("Flow ID", "Source IP", "Source Port", "Destination IP",
+     "Destination Port", "Timestamp"),
+)
+DEFAULT_SOCKET_COLUMNS = [name for layout in SOCKET_LAYOUTS for name in layout]
 
 
 @dataclass
@@ -203,10 +205,16 @@ def drop_socket_and_constant_features(d: Dataset, socket_names: list[str]) -> Da
     Dropped columns stay in the schema with their kind flipped to
     socket/constant for audit; their category lists, which nothing reads
     once the column is gone, are cleared. Idempotent: a second pass finds
-    nothing.
+    nothing. A missing name is logged, except that under the default list
+    a file is expected to carry one of its layouts, so only names of a
+    layout the file partly has are logged.
     """
     known = {c.name for c in d.schema}
-    for name in socket_names:
+    expected = socket_names
+    if list(socket_names) == DEFAULT_SOCKET_COLUMNS:
+        expected = [name for layout in SOCKET_LAYOUTS if known.intersection(layout)
+                    for name in layout]
+    for name in expected:
         if name not in known:
             log.warning("socket column %r not present, ignoring", name)
     socket_set = set(socket_names)

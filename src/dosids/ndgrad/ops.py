@@ -85,6 +85,23 @@ def _sliding_patches(a: np.ndarray, window: int, stride: int) -> np.ndarray:
     )
 
 
+def _weight_grad(g: np.ndarray, patches: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum over b and t of g[b, :, t] outer the patch columns, as [G, C*K].
+
+    Byte for byte np.tensordot(g, patches, axes=([0, 2], [0, 3])), where
+    patches is a _sliding_patches view [B, C, K, T] and cols its im2col
+    reshape [B, C*K, T]. tensordot copies the patches into rows [B*T, C*K],
+    except possibly where the B and T axes merge (batch 1, one step, or a
+    batch stride of exactly T strides): there it can hand BLAS a strided
+    view, whose result may differ in the last ulp, so tensordot runs as
+    is. Elsewhere the same rows come from cols, saving a second gather."""
+    b, _, _, t = patches.shape
+    if b == 1 or t == 1 or patches.strides[0] == t * patches.strides[3]:
+        return np.tensordot(g, patches, axes=([0, 2], [0, 3])).reshape(g.shape[1], -1)
+    rows = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(b * t, cols.shape[1])
+    return np.dot(g.transpose(1, 0, 2).reshape(g.shape[1], b * t), rows)
+
+
 def conv1d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None) -> Tensor:
     """Cross-correlation of [B, Cin, L] with kernels [Cout, Cin, K]."""
@@ -101,15 +118,15 @@ def conv1d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0,
     patches = _sliding_patches(xp, k, stride)                # [B, Cin, K, T]
     t = patches.shape[3]
     w2 = weight.data.reshape(c_out, c_in * k)
-    out_data = np.matmul(w2, patches.reshape(b, c_in * k, t))  # [B, Cout, T]
+    cols = patches.reshape(b, c_in * k, t)                    # im2col [B, Cin*K, T]
+    out_data = np.matmul(w2, cols)                            # [B, Cout, T]
     if bias is not None:
         out_data = out_data + bias.data[None, :, None]
 
     def bw(g):
         if weight.requires_grad:
             # dW[o,c,k] = sum_{b,t} g[b,o,t] * patches[b,c,k,t]
-            dw = np.tensordot(g, patches, axes=([0, 2], [0, 3]))
-            _accumulate(weight, dw)
+            _accumulate(weight, _weight_grad(g, patches, cols).reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2)))
         if x.requires_grad:
@@ -155,14 +172,13 @@ def conv_transpose1d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 
         g_full = np.zeros((b, c_out, full), dtype=np.float64)
         g_full[:, :, padding:padding + out_len] = g
         gpatches = _sliding_patches(g_full, k, stride)        # [B, Cout, K, L]
+        gcols = gpatches.reshape(b, c_out * k, length)
         if x.requires_grad:
             # dx[b,c,l] = sum_{o,k} gpatches[b,o,k,l] * weight[c,o,k]
-            dx = np.matmul(w2, gpatches.reshape(b, c_out * k, length))
-            _accumulate(x, dx)
+            _accumulate(x, np.matmul(w2, gcols))
         if weight.requires_grad:
             # dW[c,o,k] = sum_{b,l} x[b,c,l] * gpatches[b,o,k,l]
-            dw = np.tensordot(x.data, gpatches, axes=([0, 2], [0, 3]))
-            _accumulate(weight, dw)
+            _accumulate(weight, _weight_grad(x.data, gpatches, gcols).reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2)))
 
@@ -196,13 +212,17 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
     gam = gamma.data.reshape(pshape)
     bet = beta.data.reshape(pshape)
 
+    n = x.size // x.shape[1]             # values per channel
     if train:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)  # biased, matching the backward below
-        running.mean = (1.0 - momentum) * running.mean + momentum * mu
+        # np.mean and np.var's own arithmetic, with the centred input
+        # computed once and reused for xhat
+        mu = np.add.reduce(x.data, axes, keepdims=True) / n
+        xc = x.data - mu
+        var = np.add.reduce(xc * xc, axes) / n  # biased, matching the backward below
+        running.mean = (1.0 - momentum) * running.mean + momentum * mu.reshape(-1)
         running.var = (1.0 - momentum) * running.var + momentum * var
         inv_std = 1.0 / np.sqrt(var.reshape(pshape) + eps)
-        xhat = (x.data - mu.reshape(pshape)) * inv_std
+        xhat = xc * inv_std
     else:
         inv_std = 1.0 / np.sqrt(running.var.reshape(pshape) + eps)
         xhat = (x.data - running.mean.reshape(pshape)) * inv_std
@@ -216,8 +236,8 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
         if x.requires_grad:
             gg = g * gam
             if train:
-                dx = inv_std * (gg - gg.mean(axis=axes, keepdims=True)
-                                - xhat * (gg * xhat).mean(axis=axes, keepdims=True))
+                dx = inv_std * (gg - np.add.reduce(gg, axes, keepdims=True) / n
+                                - xhat * (np.add.reduce(gg * xhat, axes, keepdims=True) / n))
             else:
                 dx = gg * inv_std
             _accumulate(x, dx)

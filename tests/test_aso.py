@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from dosids import aso
+from dosids import aso, parallel
 from dosids.alexclf import Hyperparameters
 from dosids.aso import (AsoConfig, SearchSpace, BATCH_CHOICES, compute_masses,
                         constraint_force, decode_hyperparameters, depth_function,
@@ -344,7 +344,7 @@ def test_tune_same_result_on_one_and_two_cpus(monkeypatch, tmp_path):
     cfg = AsoConfig(population=6, iterations=4, seed=9)
     results = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(aso, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         results[cpus] = tune_hyperparameters(trainable, cfg)
         assert multiprocessing.active_children() == []
     pids = {int(p.name) for p in tmp_path.iterdir()}
@@ -361,14 +361,14 @@ def test_tune_worker_error_propagates_and_reaps(monkeypatch):
             raise ValueError("proxy run failed")
         return hp.momentum
 
-    monkeypatch.setattr(aso, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     with pytest.raises(ValueError, match="proxy run failed"):
         tune_hyperparameters(trainable, AsoConfig(population=8, iterations=3, seed=1))
     assert multiprocessing.active_children() == []
 
 
 def test_tune_workers_run_blas_on_one_thread(monkeypatch, tmp_path):
-    get_threads = aso._openblas_function(
+    get_threads = parallel.openblas_function(
         ("openblas_get_num_threads", "openblas_get_num_threads64_",
          "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"))
     if get_threads is None:
@@ -379,6 +379,6 @@ def test_tune_workers_run_blas_on_one_thread(monkeypatch, tmp_path):
         (tmp_path / f"{os.getpid()}-{get_threads()}").touch()
         return hp.momentum
 
-    monkeypatch.setattr(aso, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     tune_hyperparameters(trainable, AsoConfig(population=4, iterations=1, seed=0))
     assert {p.name.split("-")[1] for p in tmp_path.iterdir()} == {"1"}

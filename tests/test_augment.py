@@ -2,10 +2,15 @@
 invariants, determinism, and the tiny-class fallback."""
 
 import logging
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from dosids import augment, parallel
 from dosids import ndgrad as ng
 from dosids.augment import (GanConfig, discriminator_accuracy, discriminator_loss,
                             generator_loss, jitter_rows,
@@ -230,6 +235,82 @@ def test_oversample_tiny_class_falls_back_to_jitter(caplog):
     synth = out.features[ds.n_rows:]
     dists = np.abs(synth[:, None, :] - originals[None, :, :]).max(axis=2).min(axis=1)
     assert dists.max() < 0.1
+
+
+def _record_pids(monkeypatch, log_dir, owner, name):
+    """Wrap owner.name so that every call touches a file named after the
+    calling process, in the directory log_dir() gives at call time."""
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        (log_dir() / f"{name}-{os.getpid()}").touch()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+
+
+def _pids(directory, name):
+    return {int(p.name.split("-")[1]) for p in directory.glob(f"{name}-*")}
+
+
+def test_oversample_same_result_on_one_and_two_cpus(monkeypatch, tmp_path):
+    """Two GAN classes and a jitter class: the worker count comes from the
+    CPUs available, and the result must not depend on it."""
+    ds = cluster_dataset(29, [40, 12, 10, 3], n_features=6)
+    targets = {1: 30, 2: 25, 3: 20}
+    cpus = 1
+    _record_pids(monkeypatch, lambda: tmp_path / str(cpus), augment, "train_dcgan")
+    _record_pids(monkeypatch, lambda: tmp_path / str(cpus), parallel, "_init_worker")
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+    results = {}
+    for cpus in (1, 2):
+        (tmp_path / str(cpus)).mkdir()
+        results[cpus] = oversample_minorities(ds, targets, small_cfg(seed=6))
+        assert multiprocessing.active_children() == []
+    assert _pids(tmp_path / "1", "train_dcgan") == {os.getpid()}
+    assert not _pids(tmp_path / "1", "_init_worker")
+    workers = _pids(tmp_path / "2", "_init_worker")
+    assert len(workers) == 2 and os.getpid() not in workers
+    assert _pids(tmp_path / "2", "train_dcgan") <= workers
+    one, two = results[1], results[2]
+    assert one.features.tobytes() == two.features.tobytes()
+    assert one.labels.tobytes() == two.labels.tobytes()
+    assert np.array_equal(one.class_counts(), [40, 30, 25, 20])
+
+
+def test_oversample_one_gan_class_does_not_fork(monkeypatch, tmp_path):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    _record_pids(monkeypatch, lambda: tmp_path, parallel, "_init_worker")
+    ds = cluster_dataset(30, [40, 12, 3], n_features=6)
+    oversample_minorities(ds, {1: 20, 2: 10}, small_cfg())
+    assert not _pids(tmp_path, "_init_worker")
+
+
+def test_serial_oversample_does_not_import_multiprocessing():
+    code = ("import sys\n"
+            "from conftest import cluster_dataset\n"
+            "from dosids.augment import GanConfig, oversample_minorities\n"
+            "ds = cluster_dataset(31, [40, 12], n_features=6)\n"
+            "oversample_minorities(ds, {1: 20}, GanConfig(epochs=1, batch_size=8))\n"
+            "assert 'multiprocessing' not in sys.modules\n")
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests_dir), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests_dir]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+def test_oversample_worker_error_propagates_and_reaps(monkeypatch):
+    def failing_train(rows, cfg):
+        raise FloatingPointError("gan diverged")
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    monkeypatch.setattr(augment, "train_dcgan", failing_train)
+    ds = cluster_dataset(32, [40, 12, 10], n_features=6)
+    with pytest.raises(FloatingPointError, match="gan diverged"):
+        oversample_minorities(ds, {1: 30, 2: 30}, small_cfg())
+    assert multiprocessing.active_children() == []
 
 
 def test_gan_config_validation():

@@ -249,6 +249,34 @@ def test_drop_unknown_socket_name_warns(flow_csv, caplog):
     assert out.n_features == ds.n_features - 1  # constant column still goes
 
 
+def _layout_csv(path, socket_names):
+    """Six flows with the given socket columns, a numeric and a label."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(list(socket_names) + ["dur", "label"]) + "\n")
+        for r in range(6):
+            fh.write(",".join([f"s{r}"] * len(socket_names) + [str(r), "ab"[r % 2]]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("layout", [0, 1], ids=["unsw", "cic"])
+def test_default_socket_list_is_quiet_on_either_layout(tmp_path, caplog, layout):
+    names = fd.SOCKET_LAYOUTS[layout]
+    ds = fd.load_flow_csv(_layout_csv(tmp_path / "f.csv", names), "label")
+    with caplog.at_level(logging.WARNING, logger="dosids.flowdata"):
+        out = fd.drop_socket_and_constant_features(ds, list(fd.DEFAULT_SOCKET_COLUMNS))
+    assert caplog.records == []
+    assert [c.name for c in out.schema if c.kind == fd.KIND_SOCKET] == list(names)
+
+
+def test_default_socket_list_warns_about_a_partial_layout(tmp_path, caplog):
+    ds = fd.load_flow_csv(_layout_csv(tmp_path / "f.csv", ["srcip", "dstip"]), "label")
+    with caplog.at_level(logging.WARNING, logger="dosids.flowdata"):
+        fd.drop_socket_and_constant_features(ds, list(fd.DEFAULT_SOCKET_COLUMNS))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"socket column {name!r} not present, ignoring"
+        for name in ("sport", "dsport", "stime", "ltime")]
+
+
 def test_drop_is_idempotent(flow_csv):
     ds = fd.load_flow_csv(flow_csv, "label")
     once = fd.drop_socket_and_constant_features(ds, ["src_ip"])

@@ -92,6 +92,102 @@ def test_conv_transpose_is_adjoint_of_conv():
     assert np.isclose((fwd * y).sum(), (x * back).sum())
 
 
+def reference_weight_grads(x, w_shape, g, stride, padding, transpose):
+    """conv1d's and conv_transpose1d's weight gradients as np.tensordot
+    over the strided patches, the form the im2col dot replaced."""
+    if transpose:
+        b, c_out, out_len = g.shape
+        k, full = w_shape[2], (x.shape[2] - 1) * stride + w_shape[2]
+        g_full = np.zeros((b, c_out, full))
+        g_full[:, :, padding:padding + out_len] = g
+        gpatches = ops._sliding_patches(g_full, k, stride)
+        return np.tensordot(x, gpatches, axes=([0, 2], [0, 3]))
+    patches = ops._sliding_patches(ops._pad_length(x, padding), w_shape[2], stride)
+    return np.tensordot(g, patches, axes=([0, 2], [0, 3]))
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["conv1d", "conv_transpose1d"])
+def test_conv_weight_grad_matches_tensordot(transpose):
+    """Byte for byte, sign of zero included, on both sides of the im2col
+    dot's fallback: batch 1, one output step, kernel 1, one channel."""
+    rng = RNG(56)
+    op = ng.conv_transpose1d if transpose else ng.conv1d
+    cases = 0
+    for stride in (1, 2):
+        for padding in range(4):
+            for b, c_in, c_out, length, k in [(32, 8, 16, 12, 4), (2, 3, 5, 7, 3),
+                                              (1, 4, 6, 9, 3), (3, 1, 8, 10, 4),
+                                              (4, 5, 1, 6, 2), (2, 6, 3, 5, 1),
+                                              (5, 2, 2, 1, 3), (2, 3, 4, 4, 4),
+                                              (1, 4, 7, 19, 1), (4, 1, 3, 6, 1)]:
+                w_shape = (c_in, c_out, k) if transpose else (c_out, c_in, k)
+                x = rng.normal(size=(b, c_in, length))
+                x[x > 1.2] = -0.0
+                if not transpose and k > length + 2 * padding:
+                    continue
+                w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+                try:
+                    out = op(Tensor(x), w, stride=stride, padding=padding)
+                except ValueError:                  # padding swallows the output
+                    continue
+                g = rng.normal(size=out.shape)
+                g[g > 1.0] = -0.0
+                out.backward(g)
+                want = reference_weight_grads(x, w_shape, g, stride, padding, transpose)
+                assert w.grad.tobytes() == want.tobytes(), (stride, padding, b, c_in, k)
+                cases += 1
+    assert cases >= 50
+
+
+def reference_batch_norm(x, gam, bet, mean, var, train, g, eps=1e-5, momentum=0.1):
+    """The np.mean / np.var batch norm that the fused statistics replaced:
+    output, running mean and variance, and the x, gamma, beta gradients."""
+    axes = (0,) if x.ndim == 2 else (0, 2)
+    pshape = (1, -1) if x.ndim == 2 else (1, -1, 1)
+    gam, bet = gam.reshape(pshape), bet.reshape(pshape)
+    if train:
+        mu, v = x.mean(axis=axes), x.var(axis=axes)
+        mean = (1.0 - momentum) * mean + momentum * mu
+        var = (1.0 - momentum) * var + momentum * v
+        inv_std = 1.0 / np.sqrt(v.reshape(pshape) + eps)
+        xhat = (x - mu.reshape(pshape)) * inv_std
+    else:
+        inv_std = 1.0 / np.sqrt(var.reshape(pshape) + eps)
+        xhat = (x - mean.reshape(pshape)) * inv_std
+    gg = g * gam
+    if train:
+        dx = inv_std * (gg - gg.mean(axis=axes, keepdims=True)
+                        - xhat * (gg * xhat).mean(axis=axes, keepdims=True))
+    else:
+        dx = gg * inv_std
+    return (gam * xhat + bet, mean, var, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("shape", [(1, 4), (2, 4), (3, 4), (32, 16), (1, 3, 5), (2, 8, 5),
+                                   (32, 32, 4), (32, 16, 13)])
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_batch_norm_matches_mean_var_reference(shape, train, offset):
+    """Byte for byte, sign of zero included: output, running statistics
+    and all three gradients."""
+    rng = RNG(57)
+    channels = shape[1]
+    data = rng.normal(size=shape) * 3.0 + offset
+    g = rng.normal(size=shape)
+    g[g > 1.0] = -0.0
+    gam, bet = rng.uniform(0.5, 1.5, channels), rng.normal(size=channels)
+    mean, var = rng.normal(size=channels), rng.uniform(0.5, 2.0, channels)
+    want = reference_batch_norm(data, gam, bet, mean, var, train, g)
+
+    x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (data, gam, bet))
+    running = ng.RunningStats(channels)
+    running.mean, running.var = mean.copy(), var.copy()
+    out = ng.batch_norm1d(x, gamma, beta, running, train)
+    out.backward(g)
+    got = (out.data, running.mean, running.var, x.grad, gamma.grad, beta.grad)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 # ---- batch norm -------------------------------------------------------------
 
 def test_batch_norm_standardizes_in_train_mode():

@@ -2,6 +2,7 @@
 artifacts, determinism, stage isolation, and the CLI."""
 
 import json
+import logging
 import multiprocessing
 import re
 import shutil
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from dosids import aso
+from dosids import augment, parallel
 from dosids import pipeline as pl
 from dosids.checkpoint import file_digest, load_arrays, save_arrays
 from dosids.cli import main as cli_main
@@ -330,13 +331,40 @@ def test_tune_worker_error_is_a_tune_stage_error(tiny_run, monkeypatch):
     def failing_train(*args, **kwargs):
         raise FloatingPointError("proxy diverged")
 
-    monkeypatch.setattr(aso, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     monkeypatch.setattr(pl, "train_classifier", failing_train)
     with pytest.raises(pl.StageError, match="proxy diverged") as err:
         pl.run_stage(cfg, "tune")
     assert err.value.stage == "tune" and err.value.code == pl.STAGE_CODES["tune"]
     assert not (tmp_path / "out/tune").exists()
     assert multiprocessing.active_children() == []
+
+
+def test_augment_worker_error_is_an_augment_stage_error(tiny_run, monkeypatch):
+    cfg_path, tmp_path = tiny_run
+    cfg = pl.config_from_file(cfg_path)
+    pl.run_stage(cfg, "ingest")
+
+    def failing_train(*args, **kwargs):
+        raise FloatingPointError("gan diverged")
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    monkeypatch.setattr(augment, "train_dcgan", failing_train)
+    with pytest.raises(pl.StageError, match="gan diverged") as err:
+        pl.run_stage(cfg, "augment")
+    assert err.value.stage == "augment" and err.value.code == pl.STAGE_CODES["augment"]
+    assert not (tmp_path / "out/augment").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_explicit_socket_column_missing_warns(tiny_run, caplog):
+    cfg_path, tmp_path = tiny_run
+    cfg_path.write_text(cfg_path.read_text().replace(
+        "data.socket_columns = src_ip", "data.socket_columns = src_ip,no_such_column"))
+    with caplog.at_level(logging.WARNING, logger="dosids.flowdata"):
+        pl.run_stage(pl.config_from_file(cfg_path), "ingest")
+    assert [r.getMessage() for r in caplog.records] == [
+        "socket column 'no_such_column' not present, ignoring"]
 
 
 def test_emit_clean_and_synthetic(tiny_run):

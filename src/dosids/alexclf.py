@@ -8,7 +8,7 @@ shorter than the default schedule expects.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -16,6 +16,12 @@ from . import ndgrad as ng
 from .seeding import substream
 
 log = logging.getLogger(__name__)
+
+CONV_CHANNELS = (32, 64, 64)
+KERNEL_SIZES = (7, 5, 3)      # shrunk to odd sizes that fit narrow inputs
+DENSE_WIDTHS = (128, 64)
+DROPOUT_RATE = 0.5            # on the inputs of both hidden dense layers
+PREDICT_BATCH = 256
 
 
 @dataclass
@@ -42,17 +48,17 @@ class Hyperparameters:
             raise ValueError("weight_decay must be >= 0")
 
     def to_dict(self) -> dict:
-        return {"momentum": self.momentum, "weight_decay": self.weight_decay,
-                "epochs": self.epochs, "learning_rate": self.learning_rate,
-                "batch_size": self.batch_size}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperparameters":
-        hp = cls(momentum=float(d["momentum"]), weight_decay=float(d["weight_decay"]),
-                 epochs=int(d["epochs"]), learning_rate=float(d["learning_rate"]),
-                 batch_size=int(d["batch_size"]))
+        hp = cls(**{name: parse(d[name]) for name, parse in HYPERPARAMETER_TYPES.items()})
         hp.validate()
         return hp
+
+
+# field name -> type; parses saved hyperparameters and `classifier.*` overrides
+HYPERPARAMETER_TYPES = {f.name: f.type for f in fields(Hyperparameters)}
 
 
 def _shrink_odd(kernel: int, length: int) -> int:
@@ -76,23 +82,8 @@ def step_decayed_lr(epoch: int, total_epochs: int, initial_lr: float) -> float:
     return initial_lr * 0.01
 
 
-def clip_gradients(params, max_norm: float):
-    """Scale the whole gradient down when its global norm exceeds
-    `max_norm`; inert in healthy regimes, keeps explored high-rate
-    candidates finite."""
-    total = np.sqrt(sum(float((p.grad ** 2).sum())
-                        for p in params if p.grad is not None))
-    if total > max_norm:
-        scale = max_norm / total
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
-
-
 class AlexNetClassifier(ng.Module):
-    def __init__(self, feature_dim: int, n_classes: int, seed: int = 0,
-                 conv_channels=(32, 64, 64), kernel_sizes=(7, 5, 3),
-                 dense_widths=(128, 64), dropout_rate: float = 0.5):
+    def __init__(self, feature_dim: int, n_classes: int, seed: int = 0):
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
         if feature_dim < 1:
@@ -100,14 +91,13 @@ class AlexNetClassifier(ng.Module):
         rng = substream(seed, "alexclf-init")
         self.feature_dim = feature_dim
         self.n_classes = n_classes
-        self.dropout_rate = dropout_rate
         self.trained = False
 
         self.convs = []
         self.pools = []      # (window, stride) per stage
         length = feature_dim
         c_in = 1
-        for stage, (c_out, kernel) in enumerate(zip(conv_channels, kernel_sizes)):
+        for stage, (c_out, kernel) in enumerate(zip(CONV_CHANNELS, KERNEL_SIZES)):
             k = _shrink_odd(kernel, length)
             if k != kernel:
                 log.warning("conv stage %d: kernel %d shrunk to %d for length %d",
@@ -123,9 +113,9 @@ class AlexNetClassifier(ng.Module):
         self.lrn = ng.LocalResponseNorm()
         self.flat_dim = c_in * length
 
-        self.dense1 = ng.Dense(self.flat_dim, dense_widths[0], rng=rng)
-        self.dense2 = ng.Dense(dense_widths[0], dense_widths[1], rng=rng)
-        self.softmax_head = ng.Dense(dense_widths[1], n_classes, rng=rng)
+        self.dense1 = ng.Dense(self.flat_dim, DENSE_WIDTHS[0], rng=rng)
+        self.dense2 = ng.Dense(DENSE_WIDTHS[0], DENSE_WIDTHS[1], rng=rng)
+        self.softmax_head = ng.Dense(DENSE_WIDTHS[1], n_classes, rng=rng)
 
     def logits(self, x: ng.Tensor, train: bool,
                rng: np.random.Generator | None = None) -> ng.Tensor:
@@ -140,65 +130,44 @@ class AlexNetClassifier(ng.Module):
         h = h.reshape(h.shape[0], self.flat_dim)
         use_dropout = train and rng is not None
         if use_dropout:
-            h = ng.dropout(h, self.dropout_rate, train, rng)
+            h = ng.dropout(h, DROPOUT_RATE, train, rng)
         h = ng.relu(self.dense1(h))
         if use_dropout:
-            h = ng.dropout(h, self.dropout_rate, train, rng)
+            h = ng.dropout(h, DROPOUT_RATE, train, rng)
         h = ng.relu(self.dense2(h))
         return self.softmax_head(h)
 
 
-def build_classifier(feature_dim: int, n_classes: int, seed: int = 0,
-                     **kwargs) -> AlexNetClassifier:
-    return AlexNetClassifier(feature_dim, n_classes, seed, **kwargs)
+build_classifier = AlexNetClassifier
 
 
-def train_classifier(clf: AlexNetClassifier, features: np.ndarray, labels: np.ndarray,
-                     hp: Hyperparameters, seed: int = 0, clip_norm: float = 5.0
-                     ) -> tuple[AlexNetClassifier, list[tuple[int, float, float]]]:
-    """Mini-batch SGD on cross-entropy; returns the classifier plus a
-    per-epoch (epoch, mean loss, train accuracy) trace.
-
-    hp.learning_rate is the initial rate of a step-decay schedule; the
-    global gradient norm is clipped at `clip_norm` (None disables)."""
-    hp.validate()
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if features.shape[0] != labels.shape[0]:
-        raise ValueError("features and labels disagree on row count")
+def _check_width(clf: AlexNetClassifier, features: np.ndarray):
     if features.shape[1] != clf.feature_dim:
         raise ValueError(f"classifier expects {clf.feature_dim} features, "
                          f"got {features.shape[1]}")
-    n = features.shape[0]
-    params = clf.parameters()
-    opt = ng.SGD(params, hp.learning_rate, hp.momentum, hp.weight_decay)
-    rng = substream(seed, "alexclf-train")
-    trace = []
-    for epoch in range(1, hp.epochs + 1):
-        opt.learning_rate = step_decayed_lr(epoch, hp.epochs, hp.learning_rate)
-        perm = rng.permutation(n)
-        losses, hits, seen = [], 0, 0
-        for start in range(0, n, hp.batch_size):
-            idx = perm[start:start + hp.batch_size]
-            xb = ng.Tensor(features[idx][:, None, :])
-            yb = labels[idx]
-            logits = clf.logits(xb, train=True, rng=rng)
-            loss, probs = ng.softmax_cross_entropy(logits, yb)
-            opt.zero_grad()
-            loss.backward()
-            if clip_norm is not None:
-                clip_gradients(params, clip_norm)
-            opt.step()
-            losses.append(float(loss.data))
-            hits += int((probs.argmax(axis=1) == yb).sum())
-            seen += len(idx)
-        trace.append((epoch, float(np.mean(losses)), hits / seen))
+
+
+def train_classifier(clf: AlexNetClassifier, features: np.ndarray, labels: np.ndarray,
+                     hp: Hyperparameters, seed: int = 0
+                     ) -> tuple[AlexNetClassifier, list[tuple[int, float, float]]]:
+    """Mini-batch SGD on cross-entropy (`ng.fit`); returns the classifier
+    plus a per-epoch (epoch, mean loss, train accuracy) trace.
+
+    hp.learning_rate is the initial rate of a step-decay schedule."""
+    hp.validate()
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    _check_width(clf, features)
+    trace = ng.fit(lambda x, rng: clf.logits(x, train=True, rng=rng), clf.parameters(),
+                   features, labels, hp.epochs, hp.batch_size,
+                   substream(seed, "alexclf-train"),
+                   lambda epoch: step_decayed_lr(epoch, hp.epochs, hp.learning_rate),
+                   hp.momentum, hp.weight_decay)
     clf.trained = True
     return clf, trace
 
 
-def predict(clf: AlexNetClassifier, features: np.ndarray,
-            batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
+def predict(clf: AlexNetClassifier, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode argmax classes and the full probability matrix.
 
     Ties resolve to the lowest class index.
@@ -206,12 +175,7 @@ def predict(clf: AlexNetClassifier, features: np.ndarray,
     if not clf.trained:
         raise ValueError("classifier has not been trained")
     features = np.asarray(features, dtype=np.float64)
-    probs_parts = []
-    with ng.no_grad():
-        for start in range(0, features.shape[0], batch_size):
-            xb = ng.Tensor(features[start:start + batch_size][:, None, :])
-            logits = clf.logits(xb, train=False)
-            probs_parts.append(ng.softmax_probs(logits.data))
-    probs = (np.concatenate(probs_parts, axis=0) if probs_parts
-             else np.empty((0, clf.n_classes)))
+    _check_width(clf, features)
+    probs = ng.eval_rows(lambda x: ng.softmax_probs(clf.logits(x, train=False).data),
+                         features, PREDICT_BATCH, clf.n_classes)
     return probs.argmax(axis=1), probs

@@ -5,7 +5,8 @@ from .ops import (
     RunningStats, sigmoid, softmax_cross_entropy, softmax_probs, tanh,
 )
 from .nn import (
-    BatchNorm1d, Conv1d, ConvTranspose1d, Dense, LocalResponseNorm, Module, SGD,
+    BatchNorm1d, CLIP_NORM, Conv1d, ConvTranspose1d, Dense, LocalResponseNorm,
+    Module, SGD, clip_gradients, eval_rows, fit,
 )
 from .gradcheck import grad_check
 
@@ -16,6 +17,6 @@ __all__ = [
     "relu", "RunningStats", "sigmoid", "softmax_cross_entropy",
     "softmax_probs", "tanh",
     "BatchNorm1d", "Conv1d", "ConvTranspose1d", "Dense", "LocalResponseNorm",
-    "Module", "SGD",
+    "Module", "SGD", "CLIP_NORM", "clip_gradients", "eval_rows", "fit",
     "grad_check",
 ]

@@ -1,4 +1,6 @@
-"""The Module protocol, the layer objects built on it, and the SGD optimizer.
+"""The Module protocol, the layer objects built on it, the SGD optimizer, and
+the supervised training loop and batched inference forward shared by the
+classifier and the feature extractor.
 
 Weights initialize uniformly in +-sqrt(6 / (fan_in + fan_out)), biases at
 zero. Every layer takes its init generator explicitly so model builds are
@@ -8,7 +10,9 @@ reproducible from a seed.
 import numpy as np
 
 from . import ops
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
+
+CLIP_NORM = 5.0     # global gradient norm `fit` clips every step to
 
 
 def _uniform_init(shape, fan_in, fan_out, rng) -> Tensor:
@@ -156,3 +160,64 @@ class SGD:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
+
+
+def clip_gradients(params, max_norm: float):
+    """Scale the whole gradient down when its global norm exceeds
+    `max_norm`; inert in healthy regimes, keeps explored high-rate
+    candidates finite."""
+    total = np.sqrt(sum(float((p.grad ** 2).sum())
+                        for p in params if p.grad is not None))
+    if total > max_norm:
+        scale = max_norm / total
+        for p in params:
+            if p.grad is not None:
+                p.grad = p.grad * scale
+
+
+def fit(logits, params, rows, labels, epochs: int, batch_size: int,
+        rng: np.random.Generator, lr_at, momentum: float = 0.0,
+        weight_decay: float = 0.0) -> list[tuple[int, float, float]]:
+    """Mini-batch SGD on softmax cross-entropy over `rows` [n, width].
+
+    Each epoch sets the rate to `lr_at(epoch)` and draws one permutation
+    from `rng`; `logits(x, rng)` is the train-mode forward of a
+    [batch, 1, width] Tensor and draws its dropout masks from the same
+    `rng`. The global gradient norm is clipped at CLIP_NORM. Returns the
+    per-epoch (epoch, mean loss, train accuracy) trace.
+    """
+    if rows.shape[0] != labels.shape[0]:
+        raise ValueError("features and labels disagree on row count")
+    n = rows.shape[0]
+    opt = SGD(params, lr_at(1), momentum, weight_decay)
+    trace = []
+    for epoch in range(1, epochs + 1):
+        opt.learning_rate = lr_at(epoch)
+        perm = rng.permutation(n)
+        losses, hits, seen = [], 0, 0
+        for start in range(0, n, batch_size):
+            idx = perm[start:start + batch_size]
+            yb = labels[idx]
+            loss, probs = ops.softmax_cross_entropy(
+                logits(Tensor(rows[idx][:, None, :]), rng), yb)
+            opt.zero_grad()
+            loss.backward()
+            clip_gradients(opt.params, CLIP_NORM)
+            opt.step()
+            losses.append(float(loss.data))
+            hits += int((probs.argmax(axis=1) == yb).sum())
+            seen += len(idx)
+        trace.append((epoch, float(np.mean(losses)), hits / seen))
+    return trace
+
+
+def eval_rows(forward, rows, batch_size: int, width: int) -> np.ndarray:
+    """`forward(x)` over `rows` [n, features] in batches of `batch_size`,
+    each fed as a [batch, 1, features] Tensor with no graph recorded;
+    returns the [n, width] concatenation, row order kept."""
+    parts = []
+    with no_grad():
+        for start in range(0, rows.shape[0], batch_size):
+            parts.append(forward(Tensor(rows[start:start + batch_size][:, None, :])))
+    return (np.concatenate(parts, axis=0) if parts
+            else np.empty((0, width), dtype=np.float64))

@@ -12,12 +12,13 @@ import logging
 import os
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__, augment as aug, flowdata as fd
-from .alexclf import Hyperparameters, build_classifier, predict, train_classifier
+from .alexclf import (HYPERPARAMETER_TYPES, Hyperparameters, build_classifier, predict,
+                      train_classifier)
 from .aso import AsoConfig, tune_hyperparameters
 from .augment import GanConfig
 from .checkpoint import file_digest, load_arrays, save_arrays
@@ -178,12 +179,11 @@ def config_from_file(path) -> PipelineConfig:
         else:
             raise ValueError(f"unknown config key {key!r}")
     if overrides:
-        types = {f.name: f.type for f in fields(Hyperparameters)}
         hp = Hyperparameters()
         for name, v in overrides.items():
-            if name not in types:
+            if name not in HYPERPARAMETER_TYPES:
                 raise ValueError(f"unknown classifier override {name!r}")
-            setattr(hp, name, types[name](v))
+            setattr(hp, name, HYPERPARAMETER_TYPES[name](v))
         cfg.classifier_overrides = hp
     return cfg
 

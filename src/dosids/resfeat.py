@@ -18,6 +18,9 @@ from .seeding import substream
 
 log = logging.getLogger(__name__)
 
+DROPOUT_RATE = 0.2    # on the pooled vector while training
+MOMENTUM = 0.9        # SGD momentum of the supervised pretraining
+
 
 class ResidualBlock(ng.Module):
     def __init__(self, c_in: int, c_out: int, stride: int = 1, rng=None):
@@ -46,22 +49,17 @@ class FeatureExtractor(ng.Module):
     """Frozen after training; extraction is then a pure function."""
 
     def __init__(self, input_features: int, blocks: int = 16, base_channels: int = 16,
-                 channels: list[int] | None = None, feature_dim: int | None = None,
-                 seed: int = 0, dropout_rate: float = 0.2):
+                 feature_dim: int | None = None, seed: int = 0):
         if blocks < 1:
             raise ValueError("need at least one residual block")
         if input_features < 1:
             raise ValueError("input_features must be >= 1")
         rng = substream(seed, "resfeat-init")
         self.input_features = input_features
-        self.dropout_rate = dropout_rate
         self.frozen = False
 
-        if channels is None:
-            # width doubles every 4 blocks, downsampling at each doubling
-            channels = [base_channels * (2 ** (i // 4)) for i in range(blocks)]
-        if len(channels) != blocks:
-            raise ValueError("channel schedule length must equal block count")
+        # width doubles every 4 blocks, downsampling at each doubling
+        channels = [base_channels * (2 ** (i // 4)) for i in range(blocks)]
 
         stem_kernel = _shrink_odd(7, input_features)
         self.stem = ng.Conv1d(1, channels[0], stem_kernel, stride=1,
@@ -96,28 +94,22 @@ class FeatureExtractor(ng.Module):
             h = block(h, train)
         pooled = ng.global_avg_pool1d(h).reshape(h.shape[0], self.trunk_dim)
         if train and rng is not None:
-            pooled = ng.dropout(pooled, self.dropout_rate, train, rng)
+            pooled = ng.dropout(pooled, DROPOUT_RATE, train, rng)
         if self.project is not None:
             pooled = self.project(pooled)
         return pooled
 
 
-def build_feature_extractor(input_features: int, blocks: int = 16,
-                            base_channels: int = 16,
-                            channels: list[int] | None = None,
-                            feature_dim: int | None = None,
-                            seed: int = 0) -> FeatureExtractor:
-    return FeatureExtractor(input_features, blocks, base_channels, channels,
-                            feature_dim, seed)
+build_feature_extractor = FeatureExtractor
 
 
 def train_feature_extractor(f: FeatureExtractor, train_ds, epochs: int, lr: float,
-                            seed: int = 0, batch_size: int = 32,
-                            momentum: float = 0.9) -> FeatureExtractor:
-    """Supervised pretraining with a temporary softmax head, then freeze.
+                            seed: int = 0, batch_size: int = 32) -> FeatureExtractor:
+    """Supervised pretraining (`ng.fit`) with a temporary softmax head, then
+    freeze.
 
     epochs=0 freezes the randomly initialized trunk (smoke mode). The
-    per-epoch (loss, accuracy) trace lands on f.train_history.
+    per-epoch (epoch, loss, accuracy) trace lands on f.train_history.
     """
     if f.frozen:
         raise ValueError("extractor is already frozen")
@@ -126,36 +118,17 @@ def train_feature_extractor(f: FeatureExtractor, train_ds, epochs: int, lr: floa
     if features.shape[1] != f.input_features:
         raise ValueError(f"extractor was built for {f.input_features} features, "
                          f"dataset has {features.shape[1]}")
-    classes = np.unique(labels)
-    if epochs > 0 and classes.size < 2:
+    if epochs > 0 and np.unique(labels).size < 2:
         raise ValueError("feature extractor training needs at least 2 classes")
 
     f.train_history = []
     if epochs > 0:
-        from .alexclf import clip_gradients
-        n_classes = int(labels.max()) + 1
-        head = ng.Dense(f.feature_dim, n_classes, rng=substream(seed, "resfeat-head"))
-        params = f.parameters() + head.parameters()
-        opt = ng.SGD(params, lr, momentum=momentum)
-        rng = substream(seed, "resfeat-train")
-        n = features.shape[0]
-        for epoch in range(1, epochs + 1):
-            perm = rng.permutation(n)
-            losses, hits, seen = [], 0, 0
-            for start in range(0, n, batch_size):
-                idx = perm[start:start + batch_size]
-                xb = ng.Tensor(features[idx][:, None, :])
-                yb = labels[idx]
-                logits = head(f.forward(xb, train=True, rng=rng))
-                loss, probs = ng.softmax_cross_entropy(logits, yb)
-                opt.zero_grad()
-                loss.backward()
-                clip_gradients(params, 5.0)
-                opt.step()
-                losses.append(float(loss.data))
-                hits += int((probs.argmax(axis=1) == yb).sum())
-                seen += len(idx)
-            f.train_history.append((epoch, float(np.mean(losses)), hits / seen))
+        head = ng.Dense(f.feature_dim, int(labels.max()) + 1,
+                        rng=substream(seed, "resfeat-head"))
+        f.train_history = ng.fit(lambda x, rng: head(f.forward(x, train=True, rng=rng)),
+                                 f.parameters() + head.parameters(), features, labels,
+                                 epochs, batch_size, substream(seed, "resfeat-train"),
+                                 lambda epoch: lr, MOMENTUM)
     f.frozen = True
     return f
 
@@ -168,10 +141,5 @@ def extract_features(f: FeatureExtractor, d, batch_size: int = 256) -> np.ndarra
     if features.shape[1] != f.input_features:
         raise ValueError(f"extractor was built for {f.input_features} features, "
                          f"got {features.shape[1]}")
-    parts = []
-    with ng.no_grad():
-        for start in range(0, features.shape[0], batch_size):
-            xb = ng.Tensor(features[start:start + batch_size][:, None, :])
-            parts.append(f.forward(xb, train=False).data)
-    return (np.concatenate(parts, axis=0) if parts
-            else np.empty((0, f.feature_dim), dtype=np.float64))
+    return ng.eval_rows(lambda x: f.forward(x, train=False).data, features, batch_size,
+                        f.feature_dim)

@@ -207,3 +207,11 @@ def test_state_arrays_round_trip():
     pred2, probs2 = predict(clone, x)
     assert np.array_equal(pred, pred2)
     assert np.allclose(probs, probs2)
+
+
+def test_predict_rejects_wrong_width_before_any_forward():
+    clf = build_classifier(6, 3, seed=24)
+    clf.trained = True
+    clf.logits = lambda *args, **kwargs: pytest.fail("forward ran")
+    with pytest.raises(ValueError, match="classifier expects 6 features, got 9"):
+        predict(clf, np.zeros((4, 9)))

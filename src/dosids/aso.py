@@ -23,6 +23,9 @@ from .seeding import substream
 
 log = logging.getLogger(__name__)
 
+H_MIN_BASE = 1.1    # scaled-distance lower clamp before drift
+H_MAX = 1.24        # scaled-distance upper clamp
+
 
 @dataclass
 class SearchSpace:
@@ -74,8 +77,6 @@ class AsoConfig:
     iterations: int = 50
     depth_weight: float = 50.0        # interaction force scale
     multiplier_weight: float = 0.2    # constraint force scale
-    h_min_base: float = 1.1           # scaled-distance lower clamp before drift
-    h_max: float = 1.24               # scaled-distance upper clamp
     force_law: str = "lj"             # "lj" (inverse powers) or "literal" (positive powers)
     seed: int = 0
 
@@ -86,8 +87,6 @@ class AsoConfig:
             raise ValueError("iterations must be >= 1")
         if self.depth_weight <= 0 or self.multiplier_weight <= 0:
             raise ValueError("force weights must be positive")
-        if not self.h_min_base < self.h_max:
-            raise ValueError("need h_min_base < h_max")
         if self.force_law not in ("lj", "literal"):
             raise ValueError("force_law must be 'lj' or 'literal'")
 
@@ -153,12 +152,12 @@ def _interaction_forces(x: np.ndarray, kbest: np.ndarray, sigma: np.ndarray,
     """Forces on atoms x [n, d] from the K-best atoms [K, d], given each
     atom's length scale [n] and pair draws [n, K]."""
     eta = depth_function(nt, cfg)
-    h_min = cfg.h_min_base + drift_factor(nt, cfg)
+    h_min = H_MIN_BASE + drift_factor(nt, cfg)
     diffs = kbest[None, :, :] - x[:, None, :]                 # [n, K, d]
     dist = np.linalg.norm(diffs, axis=2)                      # [n, K]
     live = dist > 0.0
     flat = sigma <= 0.0
-    h = np.clip(dist / np.where(flat, 1.0, sigma)[:, None], h_min, cfg.h_max)
+    h = np.clip(dist / np.where(flat, 1.0, sigma)[:, None], h_min, H_MAX)
     h[flat] = h_min
     magnitude = -eta * _force_bracket(h, cfg)
     unit = np.divide(diffs, dist[:, :, None], out=np.zeros_like(diffs),

@@ -26,14 +26,14 @@ log = logging.getLogger(__name__)
 MIN_GAN_ROWS = 4
 PROB_FLOOR = 1e-12
 JITTER_SIGMA = 0.01
+GENERATOR_CHANNELS = (32, 16, 8)
+DISCRIMINATOR_CHANNELS = (8, 16)
+LEAKY_SLOPE = 0.2
 
 
 @dataclass
 class GanConfig:
     noise_dim: int = 32
-    generator_channels: tuple = (32, 16, 8)
-    discriminator_channels: tuple = (8, 16)
-    leaky_slope: float = 0.2
     learning_rate: float = 0.1
     batch_size: int = 32
     epochs: int = 60
@@ -63,9 +63,8 @@ class Generator(ng.Module):
     """noise [B, noise_dim] -> rows [B, n_features] in (0, 1)."""
 
     def __init__(self, n_features: int, cfg: GanConfig, rng):
-        c0, c1, c2 = cfg.generator_channels
+        c0, c1, c2 = GENERATOR_CHANNELS
         self.n_features = n_features
-        self.slope = cfg.leaky_slope
         self.base_len = max(1, math.ceil(n_features / 4))
         self.base_channels = c0
         self.stem = ng.Dense(cfg.noise_dim, c0 * self.base_len, rng=rng)
@@ -79,9 +78,9 @@ class Generator(ng.Module):
     def __call__(self, z: ng.Tensor, train: bool) -> ng.Tensor:
         b = z.shape[0]
         h = self.stem(z).reshape(b, self.base_channels, self.base_len)
-        h = ng.leaky_relu(self.bn0(h, train), self.slope)
-        h = ng.leaky_relu(self.bn1(self.up1(h), train), self.slope)
-        h = ng.leaky_relu(self.bn2(self.up2(h), train), self.slope)
+        h = ng.leaky_relu(self.bn0(h, train), LEAKY_SLOPE)
+        h = ng.leaky_relu(self.bn1(self.up1(h), train), LEAKY_SLOPE)
+        h = ng.leaky_relu(self.bn2(self.up2(h), train), LEAKY_SLOPE)
         y = ng.tanh(self.head(h))                      # [B, 1, 4 * base_len]
         y = y[:, 0, :self.n_features]
         return (y + 1.0) * 0.5                         # (-1, 1) -> (0, 1)
@@ -90,10 +89,9 @@ class Generator(ng.Module):
 class Discriminator(ng.Module):
     """rows [B, n_features] -> real-vs-fake probability [B]."""
 
-    def __init__(self, n_features: int, cfg: GanConfig, rng):
-        c1, c2 = cfg.discriminator_channels
+    def __init__(self, n_features: int, rng):
+        c1, c2 = DISCRIMINATOR_CHANNELS
         self.n_features = n_features
-        self.slope = cfg.leaky_slope
         k1 = _conv_kernel(n_features)
         len1 = _conv_out(n_features, k1)
         k2 = _conv_kernel(len1)
@@ -108,8 +106,8 @@ class Discriminator(ng.Module):
     def __call__(self, x: ng.Tensor, train: bool) -> ng.Tensor:
         b = x.shape[0]
         h = x.reshape(b, 1, self.n_features)
-        h = ng.leaky_relu(self.conv1(h), self.slope)
-        h = ng.leaky_relu(self.bn2(self.conv2(h), train), self.slope)
+        h = ng.leaky_relu(self.conv1(h), LEAKY_SLOPE)
+        h = ng.leaky_relu(self.bn2(self.conv2(h), train), LEAKY_SLOPE)
         h = self.conv3(h)
         pooled = ng.global_avg_pool1d(h).reshape(b)    # pooling stands in for a dense head
         return ng.sigmoid(pooled)
@@ -150,7 +148,7 @@ def train_dcgan(rows: np.ndarray, cfg: GanConfig) -> GanPair:
 
     rng_init = substream(cfg.seed, "gan-init")
     gen = Generator(n_features, cfg, rng_init)
-    disc = Discriminator(n_features, cfg, rng_init)
+    disc = Discriminator(n_features, rng_init)
     pair = GanPair(generator=gen, discriminator=disc, config=cfg, n_features=n_features)
     opt_g = ng.SGD(gen.parameters(), cfg.learning_rate)
     opt_d = ng.SGD(disc.parameters(), cfg.learning_rate)

@@ -7,7 +7,7 @@ are defined as 0. Macro averages are unweighted class means.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class MetricsReport:
     per_class: dict[str, dict[str, float]]
     macro: dict[str, float]
     overall_accuracy: float
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {

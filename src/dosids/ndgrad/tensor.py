@@ -49,15 +49,9 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         """A view of the same buffer, cut out of the autodiff graph."""
         return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -1,18 +1,22 @@
 """Staged end-to-end runs: ingest -> augment -> extract -> tune -> train ->
 evaluate -> report.
 
-Every stage is a pure function of its config plus the previous stage's
-files, so stages can be re-run independently and a full run is exactly
-the stage sequence. All randomness derives from the master seed through
-named substreams; re-running a config reproduces every emitted number.
+Every stage is a pure function of the config fields and upstream stages
+that STAGE_TABLE lists for it, so stages can be re-run independently and
+a full run is exactly the stage sequence; `run_stage` refuses upstream
+outputs made under another config. All randomness derives from the master
+seed through named substreams; re-running a config reproduces every
+emitted number.
 """
 
+import hashlib
 import json
 import logging
 import os
 import shutil
 import time
 from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,14 +26,12 @@ from .alexclf import (HYPERPARAMETER_TYPES, Hyperparameters, build_classifier, p
 from .aso import AsoConfig, tune_hyperparameters
 from .augment import GanConfig
 from .checkpoint import file_digest, load_arrays, save_arrays
-from .evalkit import confusion_from_predictions, per_class_metrics, render_report
+from .evalkit import (MetricsReport, confusion_from_predictions, per_class_metrics,
+                      render_report)
 from .resfeat import build_feature_extractor, extract_features, train_feature_extractor
 from .seeding import substream_seed
 
 log = logging.getLogger(__name__)
-
-STAGES = ("ingest", "augment", "extract", "tune", "train", "evaluate", "report")
-STAGE_CODES = {name: 10 + i for i, name in enumerate(STAGES)}
 
 
 class StageError(Exception):
@@ -78,11 +80,6 @@ class PipelineConfig:
         self.aso.validate()
         if self.classifier_overrides is not None:
             self.classifier_overrides.validate()
-
-    def snapshot(self) -> dict:
-        d = asdict(self)
-        d["tool_version"] = __version__
-        return d
 
 
 def apply_preset(cfg: PipelineConfig, preset: str) -> PipelineConfig:
@@ -190,11 +187,8 @@ def config_from_file(path) -> PipelineConfig:
 
 # ---- dataset artifact io -----------------------------------------------------
 
-def _stage_dir(cfg: PipelineConfig, stage: str, create: bool = False) -> str:
-    path = os.path.join(cfg.out_dir, stage)
-    if create:
-        os.makedirs(path, exist_ok=True)
-    return path
+def _path(cfg: PipelineConfig, stage: str, name: str = "") -> str:
+    return os.path.join(cfg.out_dir, stage, name)
 
 
 def _write_json(path, payload: dict):
@@ -219,38 +213,21 @@ def _load_matrix(path) -> tuple[np.ndarray, np.ndarray]:
     return arrays["features"], arrays["labels"].astype(np.int64)
 
 
-def _schema_to_json(schema: list[fd.ColumnSchema]) -> list[dict]:
-    return [{"name": c.name, "kind": c.kind, "categories": c.categories} for c in schema]
-
-
-def _schema_from_json(items: list[dict]) -> list[fd.ColumnSchema]:
-    return [fd.ColumnSchema(i["name"], i["kind"], i["categories"]) for i in items]
-
-
-def _require(path, stage: str, missing_stage: str):
-    if not os.path.exists(path):
-        raise StageError(stage, f"missing artifact {path}; run the "
-                                f"{missing_stage!r} stage first")
+def _class_names(cfg: PipelineConfig) -> list[str]:
+    return _read_json(_path(cfg, "ingest", "dataset.json"))["class_names"]
 
 
 def _load_dataset(cfg: PipelineConfig, stage: str, matrix_name: str) -> fd.Dataset:
-    meta_path = os.path.join(_stage_dir(cfg, "ingest"), "dataset.json")
-    _require(meta_path, stage, "ingest")
-    meta = _read_json(meta_path)
-    src_stage = "augment" if matrix_name == "train_aug.bin" else "ingest"
-    matrix_path = os.path.join(_stage_dir(cfg, src_stage), matrix_name)
-    _require(matrix_path, stage, src_stage)
-    features, labels = _load_matrix(matrix_path)
-    norm = meta.get("normalization")
-    params = None
-    if norm is not None:
-        params = fd.MinMaxParams(columns=list(norm["columns"]),
-                                 x_mn=np.asarray(norm["x_mn"]),
-                                 x_mx=np.asarray(norm["x_mx"]))
+    """A matrix written by `stage`, with ingest's schema and normalization."""
+    meta = _read_json(_path(cfg, "ingest", "dataset.json"))
+    features, labels = _load_matrix(_path(cfg, stage, matrix_name))
+    norm = meta["normalization"]
     return fd.Dataset(features=features, labels=labels,
                       class_names=list(meta["class_names"]),
-                      schema=_schema_from_json(meta["schema"]),
-                      normalization=params)
+                      schema=[fd.ColumnSchema(**c) for c in meta["schema"]],
+                      normalization=fd.MinMaxParams(columns=list(norm["columns"]),
+                                                    x_mn=np.asarray(norm["x_mn"]),
+                                                    x_mx=np.asarray(norm["x_mx"])))
 
 
 def _census(labels: np.ndarray, class_names: list[str]) -> dict[str, int]:
@@ -259,10 +236,11 @@ def _census(labels: np.ndarray, class_names: list[str]) -> dict[str, int]:
 
 
 # ---- stages -----------------------------------------------------------------
+# Each stage writes into `out`, its own freshly emptied directory, and reads
+# only the upstream stages and config fields that STAGE_TABLE lists for it.
 
-def stage_ingest(cfg: PipelineConfig) -> dict:
+def stage_ingest(cfg: PipelineConfig, out: str) -> dict:
     """Load, clean, split, encode and normalize; cache both splits."""
-    out = _stage_dir(cfg, "ingest", create=True)
     raw = fd.load_flow_csv(cfg.input_path, cfg.label_column)
     raw = fd.drop_socket_and_constant_features(raw, cfg.socket_columns)
     if cfg.subsample is not None:
@@ -280,7 +258,7 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
     _save_matrix(os.path.join(out, "test.bin"), test.features, test.labels)
     _write_json(os.path.join(out, "dataset.json"), {
         "class_names": train.class_names,
-        "schema": _schema_to_json(train.schema),
+        "schema": [asdict(c) for c in train.schema],
         "normalization": {"columns": params.columns,
                           "x_mn": params.x_mn.tolist(),
                           "x_mx": params.x_mx.tolist()},
@@ -297,10 +275,9 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
             "features": train.n_features}
 
 
-def stage_augment(cfg: PipelineConfig) -> dict:
+def stage_augment(cfg: PipelineConfig, out: str) -> dict:
     """Raise minority classes to their targets with per-class GANs."""
-    out = _stage_dir(cfg, "augment", create=True)
-    train = _load_dataset(cfg, "augment", "train.bin")
+    train = _load_dataset(cfg, "ingest", "train.bin")
     before = _census(train.labels, train.class_names)
 
     targets: dict = {}
@@ -330,14 +307,13 @@ def stage_augment(cfg: PipelineConfig) -> dict:
     return {"census_before": before, "census_after": after}
 
 
-def stage_extract(cfg: PipelineConfig) -> dict:
+def stage_extract(cfg: PipelineConfig, out: str) -> dict:
     """Train and freeze the residual extractor; cache feature matrices.
 
     classifier_input='raw' passes the preprocessed rows through untouched
     (no extractor is trained)."""
-    out = _stage_dir(cfg, "extract", create=True)
-    train = _load_dataset(cfg, "extract", "train_aug.bin")
-    test = _load_dataset(cfg, "extract", "test.bin")
+    train = _load_dataset(cfg, "augment", "train_aug.bin")
+    test = _load_dataset(cfg, "ingest", "test.bin")
 
     if cfg.classifier_input == "raw":
         feats_train, feats_test = train.features, test.features
@@ -376,61 +352,48 @@ def _inner_split(labels: np.ndarray, fraction: float, seed: int):
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx))
 
 
-def stage_tune(cfg: PipelineConfig) -> dict:
+def stage_tune(cfg: PipelineConfig, out: str) -> dict:
     """Atom-search over the hyperparameter box against an inner validation
     fold, each candidate scored by a short proxy training run."""
-    out = _stage_dir(cfg, "tune", create=True)
-    trace_path = os.path.join(out, "aso_trace.csv")
     if cfg.skip_tune:
         hp = (cfg.classifier_overrides if cfg.classifier_overrides is not None
               else Hyperparameters())
-        _write_json(os.path.join(out, "hyperparams.json"),
-                    {"hyperparameters": hp.to_dict(), "tuned": False})
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write("iteration,best_fitness,mean_fitness,K\n")
-        return {"tuned": False, "hyperparameters": hp.to_dict()}
+        info = {"tuned": False, "hyperparameters": hp.to_dict()}
+        saved, trace = info, []
+    else:
+        features, labels = _load_matrix(_path(cfg, "extract", "train_features.bin"))
+        n_classes = len(_class_names(cfg))
+        tr_idx, val_idx = _inner_split(labels, 0.8,
+                                       substream_seed(cfg.seed, "aso", "inner-split"))
+        proxy_seed = substream_seed(cfg.seed, "aso", "proxy")
 
-    feats_path = os.path.join(_stage_dir(cfg, "extract"), "train_features.bin")
-    _require(feats_path, "tune", "extract")
-    features, labels = _load_matrix(feats_path)
-    meta = _read_json(os.path.join(_stage_dir(cfg, "ingest"), "dataset.json"))
-    n_classes = len(meta["class_names"])
-    tr_idx, val_idx = _inner_split(labels, 0.8, substream_seed(cfg.seed, "aso", "inner-split"))
-    proxy_seed = substream_seed(cfg.seed, "aso", "proxy")
+        def trainable(hp: Hyperparameters) -> float:
+            proxy = replace(hp, epochs=cfg.proxy_epochs)
+            clf = build_classifier(features.shape[1], n_classes, seed=proxy_seed)
+            clf, _ = train_classifier(clf, features[tr_idx], labels[tr_idx], proxy,
+                                      seed=proxy_seed)
+            pred, _ = predict(clf, features[val_idx])
+            return float(1.0 - (pred == labels[val_idx]).mean())
 
-    def trainable(hp: Hyperparameters) -> float:
-        proxy = replace(hp, epochs=cfg.proxy_epochs)
-        clf = build_classifier(features.shape[1], n_classes, seed=proxy_seed)
-        clf, _ = train_classifier(clf, features[tr_idx], labels[tr_idx], proxy,
-                                  seed=proxy_seed)
-        pred, _ = predict(clf, features[val_idx])
-        return float(1.0 - (pred == labels[val_idx]).mean())
-
-    aso_cfg = replace(cfg.aso, seed=substream_seed(cfg.seed, "aso"))
-    result = tune_hyperparameters(trainable, aso_cfg)
-    _write_json(os.path.join(out, "hyperparams.json"),
-                {"hyperparameters": result.hyperparameters.to_dict(),
-                 "validation_error": result.validation_error,
-                 "evaluations": result.evaluations, "tuned": True})
-    with open(trace_path, "w", encoding="utf-8") as fh:
+        aso_cfg = replace(cfg.aso, seed=substream_seed(cfg.seed, "aso"))
+        result = tune_hyperparameters(trainable, aso_cfg)
+        info = {"tuned": True, "hyperparameters": result.hyperparameters.to_dict(),
+                "validation_error": result.validation_error}
+        saved, trace = dict(info, evaluations=result.evaluations), result.trace
+    _write_json(os.path.join(out, "hyperparams.json"), saved)
+    with open(os.path.join(out, "aso_trace.csv"), "w", encoding="utf-8") as fh:
         fh.write("iteration,best_fitness,mean_fitness,K\n")
-        for nt, best, mean, k in result.trace:
+        for nt, best, mean, k in trace:
             fh.write(f"{nt},{best!r},{mean!r},{k}\n")
-    return {"tuned": True, "hyperparameters": result.hyperparameters.to_dict(),
-            "validation_error": result.validation_error}
+    return info
 
 
-def stage_train(cfg: PipelineConfig) -> dict:
+def stage_train(cfg: PipelineConfig, out: str) -> dict:
     """Train the classifier at full budget with the winning settings."""
-    out = _stage_dir(cfg, "train", create=True)
-    feats_path = os.path.join(_stage_dir(cfg, "extract"), "train_features.bin")
-    hp_path = os.path.join(_stage_dir(cfg, "tune"), "hyperparams.json")
-    _require(feats_path, "train", "extract")
-    _require(hp_path, "train", "tune")
-    features, labels = _load_matrix(feats_path)
-    meta = _read_json(os.path.join(_stage_dir(cfg, "ingest"), "dataset.json"))
-    n_classes = len(meta["class_names"])
-    hp = Hyperparameters.from_dict(_read_json(hp_path)["hyperparameters"])
+    features, labels = _load_matrix(_path(cfg, "extract", "train_features.bin"))
+    n_classes = len(_class_names(cfg))
+    hp = Hyperparameters.from_dict(
+        _read_json(_path(cfg, "tune", "hyperparams.json"))["hyperparameters"])
 
     clf = build_classifier(features.shape[1], n_classes,
                            seed=substream_seed(cfg.seed, "classifier"))
@@ -452,26 +415,18 @@ def stage_train(cfg: PipelineConfig) -> dict:
             "final_train_accuracy": trace[-1][2]}
 
 
-def stage_evaluate(cfg: PipelineConfig) -> dict:
+def stage_evaluate(cfg: PipelineConfig, out: str) -> dict:
     """Score the held-out split and write the metric reports."""
-    out = _stage_dir(cfg, "evaluate", create=True)
-    feats_path = os.path.join(_stage_dir(cfg, "extract"), "test_features.bin")
-    ckpt_path = os.path.join(_stage_dir(cfg, "train"), "classifier.ckpt")
-    info_path = os.path.join(_stage_dir(cfg, "train"), "train.json")
-    _require(feats_path, "evaluate", "extract")
-    _require(ckpt_path, "evaluate", "train")
-    _require(info_path, "evaluate", "train")
-    features, labels = _load_matrix(feats_path)
-    info = _read_json(info_path)
-    meta = _read_json(os.path.join(_stage_dir(cfg, "ingest"), "dataset.json"))
+    features, labels = _load_matrix(_path(cfg, "extract", "test_features.bin"))
+    info = _read_json(_path(cfg, "train", "train.json"))
+    class_names = _class_names(cfg)
 
     clf = build_classifier(info["feature_dim"], info["n_classes"],
                            seed=substream_seed(cfg.seed, "classifier"))
-    clf.load_state(load_arrays(ckpt_path))
+    clf.load_state(load_arrays(_path(cfg, "train", "classifier.ckpt")))
     clf.trained = True
     pred, _ = predict(clf, features)
-    cm = confusion_from_predictions(labels, pred, info["n_classes"],
-                                    meta["class_names"])
+    cm = confusion_from_predictions(labels, pred, info["n_classes"], class_names)
     report = per_class_metrics(cm)
 
     with open(os.path.join(out, "metrics.json"), "w", encoding="utf-8") as fh:
@@ -480,44 +435,95 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     with open(os.path.join(out, "per_class.csv"), "w", encoding="utf-8") as fh:
         fh.write(render_report(report, "csv"))
     with open(os.path.join(out, "confusion.csv"), "w", encoding="utf-8") as fh:
-        fh.write("," + ",".join(meta["class_names"]) + "\n")
-        for i, name in enumerate(meta["class_names"]):
+        fh.write("," + ",".join(class_names) + "\n")
+        for i, name in enumerate(class_names):
             fh.write(name + "," + ",".join(str(v) for v in cm.counts[i]) + "\n")
     return {"overall_accuracy": report.overall_accuracy,
             "macro_f1": report.macro["f1"]}
 
 
-def stage_report(cfg: PipelineConfig) -> dict:
+def stage_report(cfg: PipelineConfig, out: str) -> dict:
     """Re-render the evaluation metrics as a human-readable table."""
-    out = _stage_dir(cfg, "report", create=True)
-    metrics_path = os.path.join(_stage_dir(cfg, "evaluate"), "metrics.json")
-    _require(metrics_path, "report", "evaluate")
-    from .evalkit import MetricsReport
-    report = MetricsReport.from_dict(_read_json(metrics_path))
+    report = MetricsReport.from_dict(_read_json(_path(cfg, "evaluate", "metrics.json")))
     with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(render_report(report, "table"))
     return {"report": os.path.join(out, "report.txt")}
 
 
-_STAGE_FUNCS = {
-    "ingest": stage_ingest, "augment": stage_augment, "extract": stage_extract,
-    "tune": stage_tune, "train": stage_train, "evaluate": stage_evaluate,
-    "report": stage_report,
+# ---- the stage table ----------------------------------------------------------
+
+class Stage(NamedTuple):
+    run: Callable[[PipelineConfig, str], dict]
+    upstream: tuple[str, ...]       # stages whose outputs `run` reads
+    fields: tuple[str, ...]         # PipelineConfig fields `run` reads
+
+
+STAGE_TABLE = {
+    "ingest": Stage(stage_ingest, (), ("input_path", "label_column", "socket_columns",
+                                       "subsample", "train_fraction", "seed")),
+    "augment": Stage(stage_augment, ("ingest",),
+                     ("augment_policy", "augment_targets", "gan", "seed")),
+    "extract": Stage(stage_extract, ("ingest", "augment"),
+                     ("classifier_input", "extractor_blocks", "extractor_base_channels",
+                      "extractor_feature_dim", "extractor_epochs", "extractor_lr",
+                      "extractor_batch_size", "seed")),
+    "tune": Stage(stage_tune, ("ingest", "extract"),
+                  ("skip_tune", "classifier_overrides", "aso", "proxy_epochs", "seed")),
+    "train": Stage(stage_train, ("ingest", "extract", "tune"), ("seed",)),
+    "evaluate": Stage(stage_evaluate, ("ingest", "extract", "train"), ("seed",)),
+    "report": Stage(stage_report, ("evaluate",), ()),
 }
+# where outputs go, not what they hold: in no stage's fingerprint
+NOT_FINGERPRINTED = ("out_dir", "emit_clean", "emit_synthetic")
+
+
+def _upstream(cfg: PipelineConfig, stage: str) -> tuple[str, ...]:
+    # a skipped tune reads nothing upstream, so it may run on an empty directory
+    return () if stage == "tune" and cfg.skip_tune else STAGE_TABLE[stage].upstream
+
+
+def _recorded(cfg: PipelineConfig, stage: str) -> str | None:
+    path = _path(cfg, stage, "stage.json")
+    return _read_json(path)["fingerprint"] if os.path.exists(path) else None
+
+
+def stage_record(cfg: PipelineConfig, stage: str) -> dict:
+    """What `stage` would record under `cfg`: the config fields it reads, the
+    fingerprints its upstream stages recorded, and a sha256 over both."""
+    config = asdict(cfg)
+    record = {"config": {name: config[name] for name in STAGE_TABLE[stage].fields},
+              "upstream": {up: _recorded(cfg, up) for up in _upstream(cfg, stage)}}
+    blob = json.dumps(record, sort_keys=True).encode("utf-8")
+    return dict(record, fingerprint=hashlib.sha256(blob).hexdigest())
 
 
 def run_stage(cfg: PipelineConfig, stage: str) -> dict:
-    """Run one stage; on failure remove its partial outputs and raise a
-    StageError carrying the stage's exit code."""
-    func = _STAGE_FUNCS[stage]
+    """Run one stage after checking that every upstream stage finished under
+    the current config; write its `stage.json` last. On failure remove its
+    partial outputs and raise a StageError carrying the stage's exit code."""
+    for up in _upstream(cfg, stage):
+        recorded = _recorded(cfg, up)
+        if recorded is None:
+            raise StageError(stage, f"missing {_path(cfg, up, 'stage.json')}; "
+                                    f"run the {up!r} stage first")
+        if recorded != stage_record(cfg, up)["fingerprint"]:
+            raise StageError(stage, f"{up!r} outputs were made under another config "
+                                    f"or from other inputs; re-run stage {up!r}")
+    out = _path(cfg, stage)
+    record = stage_record(cfg, stage)
     try:
-        return func(cfg)
-    except StageError:
-        shutil.rmtree(_stage_dir(cfg, stage), ignore_errors=True)
-        raise
+        shutil.rmtree(out, ignore_errors=True)
+        os.makedirs(out)
+        info = STAGE_TABLE[stage].run(cfg, out)
+        _write_json(os.path.join(out, "stage.json"), record)
+        return info
     except Exception as exc:
-        shutil.rmtree(_stage_dir(cfg, stage), ignore_errors=True)
+        shutil.rmtree(out, ignore_errors=True)
         raise StageError(stage, str(exc)) from exc
+
+
+STAGES = tuple(STAGE_TABLE)
+STAGE_CODES = {name: 10 + i for i, name in enumerate(STAGES)}
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -539,7 +545,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 path = os.path.join(root, name)
                 digests[os.path.relpath(path, cfg.out_dir)] = file_digest(path)
     manifest = {
-        "config": cfg.snapshot(),
+        "config": dict(asdict(cfg), tool_version=__version__),
         "stage_seconds": stage_seconds,
         "census": {"before_augmentation": stage_info["augment"]["census_before"],
                    "after_augmentation": stage_info["augment"]["census_after"]},

@@ -12,9 +12,9 @@ import pytest
 
 from dosids import aso, parallel
 from dosids.alexclf import Hyperparameters
-from dosids.aso import (AsoConfig, SearchSpace, BATCH_CHOICES, compute_masses,
-                        constraint_force, decode_hyperparameters, depth_function,
-                        drift_factor, hyperparameter_space,
+from dosids.aso import (AsoConfig, SearchSpace, BATCH_CHOICES, H_MAX, H_MIN_BASE,
+                        compute_masses, constraint_force, decode_hyperparameters,
+                        depth_function, drift_factor, hyperparameter_space,
                         interaction_force, k_best_count, lagrange_multiplier,
                         length_scale, optimize, random_search, step,
                         tune_hyperparameters)
@@ -104,11 +104,11 @@ def test_h_scaled_distance_clamps():
     [h_min, h_max] before the force bracket: the force from one neighbour
     matches the force computed by hand from the clamped value."""
     cfg = AsoConfig(iterations=100)
-    h_min = cfg.h_min_base + drift_factor(10, cfg)
+    h_min = H_MIN_BASE + drift_factor(10, cfg)
     eta = depth_function(10, cfg)
     cases = [(0.8, 1.0, h_min),        # ratio below the floor
              (1.15, 1.0, 1.15),        # pass-through region
-             (2.0, 1.0, cfg.h_max),    # above the ceiling
+             (2.0, 1.0, H_MAX),        # above the ceiling
              (1.0, 0.0, h_min)]        # degenerate length scale
     for distance, sigma, h in cases:
         draw = substream(4, "pair").random(1)[0]
@@ -249,8 +249,6 @@ def test_literal_force_law_runs():
 def test_config_validation():
     with pytest.raises(ValueError):
         AsoConfig(population=1).validate()
-    with pytest.raises(ValueError):
-        AsoConfig(h_min_base=1.3, h_max=1.24).validate()
     with pytest.raises(ValueError):
         AsoConfig(force_law="magnetism").validate()
     with pytest.raises(ValueError):

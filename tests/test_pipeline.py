@@ -1,6 +1,7 @@
 """Pipeline contracts: config parsing, the checkpoint container, staged
 artifacts, determinism, stage isolation, and the CLI."""
 
+import dataclasses
 import json
 import logging
 import multiprocessing
@@ -427,6 +428,96 @@ def test_stage_isolation_reproduces_metrics(tiny_run):
     for stage in ("train", "evaluate", "report"):
         pl.run_stage(cfg, stage)
     assert (tmp_path / "out/evaluate/metrics.json").read_bytes() == metrics_before
+
+
+# ---- provenance --------------------------------------------------------------------
+
+def test_every_config_field_is_a_stage_input_or_declared_not_one():
+    """A field that no stage lists would change no fingerprint, so an edit
+    to it could never be caught."""
+    read = {name for spec in pl.STAGE_TABLE.values() for name in spec.fields}
+    fields = {f.name for f in dataclasses.fields(pl.PipelineConfig)}
+    assert fields - set(pl.NOT_FINGERPRINTED) == read
+    assert set(pl.NOT_FINGERPRINTED) <= fields
+    assert list(pl.STAGE_TABLE) == list(pl.STAGES)
+    for i, spec in enumerate(pl.STAGE_TABLE.values()):
+        assert set(spec.upstream) <= set(pl.STAGES[:i])
+
+
+def test_rerun_in_raw_mode_leaves_no_stale_extractor(tiny_run):
+    cfg_path, tmp_path = tiny_run
+    cfg = pl.config_from_file(cfg_path)
+    cfg.skip_tune = True
+    assert "extract/extractor.ckpt" in pl.run_pipeline(cfg)["checkpoint_digests"]
+    cfg.classifier_input = "raw"
+    manifest = pl.run_pipeline(cfg)
+    assert not (tmp_path / "out/extract/extractor.ckpt").exists()
+    assert "extract/extractor.ckpt" not in manifest["checkpoint_digests"]
+    assert sorted(p.name for p in (tmp_path / "out/extract").iterdir()) == [
+        "extract.json", "stage.json", "test_features.bin", "train_features.bin"]
+
+
+def test_stale_upstream_is_refused_until_rerun(tiny_run, capsys):
+    cfg_path, tmp_path = tiny_run
+    pl.run_pipeline(pl.config_from_file(cfg_path))
+    cfg_path.write_text(cfg_path.read_text().replace("extractor.blocks = 2",
+                                                     "extractor.blocks = 3"))
+    cfg = pl.config_from_file(cfg_path)
+    with pytest.raises(pl.StageError, match="re-run stage 'extract'") as err:
+        pl.run_stage(cfg, "train")
+    assert err.value.code == pl.STAGE_CODES["train"] == 14
+    assert cli_main(["train", "--config", str(cfg_path)]) == 14
+    assert "re-run stage 'extract'" in capsys.readouterr().err
+    # the refusal leaves the refusing stage's earlier outputs alone
+    assert (tmp_path / "out/train/stage.json").exists()
+
+    pl.run_stage(cfg, "extract")
+    with pytest.raises(pl.StageError, match="re-run stage 'tune'") as err:
+        pl.run_stage(cfg, "train")
+    assert err.value.code == 14
+    for stage in ("tune", "train", "evaluate", "report"):
+        pl.run_stage(cfg, stage)
+
+
+def test_unfinished_stage_is_refused(tiny_run, monkeypatch):
+    """stage.json is written after the stage's outputs, so a stage that
+    was cut short counts as not run."""
+    cfg_path, tmp_path = tiny_run
+    cfg = pl.config_from_file(cfg_path)
+    cfg.skip_tune = True
+    pl.run_pipeline(cfg)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pl, "train_classifier", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        pl.run_stage(cfg, "train")
+    assert (tmp_path / "out/train").exists()
+    assert not (tmp_path / "out/train/stage.json").exists()
+    with pytest.raises(pl.StageError, match="run the 'train' stage first") as err:
+        pl.run_stage(cfg, "evaluate")
+    assert err.value.code == pl.STAGE_CODES["evaluate"]
+
+
+def test_output_paths_change_no_fingerprint(tiny_run):
+    cfg_path, tmp_path = tiny_run
+    cfg = pl.config_from_file(cfg_path)
+    cfg.skip_tune = True
+    pl.run_pipeline(cfg)
+    moved = pl.config_from_file(cfg_path)
+    moved.skip_tune = True
+    moved.out_dir = str(tmp_path / "elsewhere")
+    moved.emit_clean = str(tmp_path / "clean.csv")
+    moved.emit_synthetic = str(tmp_path / "synth.csv")
+    pl.run_pipeline(moved)
+    for stage in pl.STAGES:
+        record = json.loads((tmp_path / "out" / stage / "stage.json").read_text())
+        assert (tmp_path / "elsewhere" / stage / "stage.json").read_text() == \
+            (tmp_path / "out" / stage / "stage.json").read_text()
+        assert record == pl.stage_record(moved, stage)
+        skipped = stage == "tune"
+        assert set(record["upstream"]) == set(() if skipped else pl.STAGE_TABLE[stage].upstream)
 
 
 # ---- cli -----------------------------------------------------------------------------

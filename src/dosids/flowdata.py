@@ -63,7 +63,6 @@ class Dataset:
     labels: np.ndarray              # int64 [rows]
     class_names: list[str]
     schema: list[ColumnSchema]      # all input columns, dropped ones marked
-    normalization: MinMaxParams | None = None
 
     @property
     def n_rows(self) -> int:
@@ -244,20 +243,11 @@ def fit_categories(train: Dataset) -> dict[str, list[str]]:
     """Category list per categorical column, ordered by first appearance
     in the training rows (not the full file)."""
     fitted: dict[str, list[str]] = {}
-    slot = 0
-    for col in train.schema:
-        if col.kind not in RETAINED_KINDS:
-            continue
+    for slot, col in enumerate(train.retained()):
         if col.kind == KIND_CATEGORICAL:
-            seen: list[str] = []
-            seen_set = set()
-            for code in train.features[:, slot]:
-                value = col.categories[int(code)]
-                if value not in seen_set:
-                    seen_set.add(value)
-                    seen.append(value)
-            fitted[col.name] = seen
-        slot += 1
+            # codes and category strings map one to one
+            codes, first = np.unique(train.features[:, slot], return_index=True)
+            fitted[col.name] = [col.categories[int(codes[i])] for i in np.argsort(first)]
     return fitted
 
 
@@ -284,20 +274,15 @@ def one_hot_encode(d: Dataset, categories: dict[str, list[str]] | None = None) -
             cats = categories.get(col.name)
             if cats is None:
                 raise ValueError(f"no fitted categories for column {col.name!r}")
-            row_values = [col.categories[int(code)] for code in d.features[:, slot]]
-            block = np.zeros((d.n_rows, len(cats)), dtype=np.float64)
+            # block column of each code; -1 for a value outside the fitted list
             index = {v: j for j, v in enumerate(cats)}
-            unseen = 0
-            for r, v in enumerate(row_values):
-                j = index.get(v)
-                if j is None:
-                    unseen += 1
-                else:
-                    block[r, j] = 1.0
+            lookup = np.array([index.get(v, -1) for v in col.categories], dtype=np.intp)
+            columns = lookup[d.features[:, slot].astype(np.intp)]
+            unseen = int((columns < 0).sum())
             if unseen:
                 log.warning("column %r: %d rows with categories unseen at fit "
                             "time encoded as all-zeros", col.name, unseen)
-            blocks.append(block)
+            blocks.append((columns[:, None] == np.arange(len(cats))).astype(np.float64))
             for cat in cats:
                 new_schema.append(ColumnSchema(f"{col.name}={cat}", KIND_NUMERIC))
         slot += 1
@@ -327,12 +312,23 @@ def min_max_apply(d: Dataset, p: MinMaxParams) -> Dataset:
     scaled = (d.features - p.x_mn) / safe
     scaled[:, span == 0] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    return replace(d, features=scaled, normalization=p)
+    return replace(d, features=scaled)
 
 
-def minmax_invert(p: MinMaxParams, normalized: np.ndarray) -> np.ndarray:
-    """Inverse affine map of min_max_apply (exact for in-range values)."""
-    return normalized * (p.x_mx - p.x_mn) + p.x_mn
+def per_class_draw(labels: np.ndarray, n_classes: int, take, seed: int):
+    """Draw `take(n)` rows at random from each class of n rows, with one
+    permutation per class in class order. Returns the drawn and the
+    remaining row indices, each sorted."""
+    rng = np.random.default_rng(seed)
+    drawn: list[np.ndarray] = []
+    rest: list[np.ndarray] = []
+    for c in range(n_classes):
+        members = np.flatnonzero(labels == c)
+        perm = rng.permutation(len(members))
+        n = take(len(members))
+        drawn.append(members[perm[:n]])
+        rest.append(members[perm[n:]])
+    return np.sort(np.concatenate(drawn)), np.sort(np.concatenate(rest))
 
 
 def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -344,18 +340,8 @@ def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Data
     tiny = [d.class_names[c] for c in range(len(counts)) if counts[c] < 2]
     if tiny:
         raise ValueError(f"classes with fewer than 2 rows cannot be split: {tiny}")
-    rng = np.random.default_rng(seed)
-    train_idx: list[np.ndarray] = []
-    test_idx: list[np.ndarray] = []
-    for c in range(len(d.class_names)):
-        members = np.flatnonzero(d.labels == c)
-        n_train = int(round(len(members) * train_fraction))
-        n_train = min(max(n_train, 1), len(members) - 1)
-        perm = rng.permutation(len(members))
-        train_idx.append(np.sort(members[perm[:n_train]]))
-        test_idx.append(np.sort(members[perm[n_train:]]))
-    tr = np.sort(np.concatenate(train_idx))
-    te = np.sort(np.concatenate(test_idx))
+    tr, te = per_class_draw(d.labels, len(d.class_names),
+                            lambda n: min(max(round(n * train_fraction), 1), n - 1), seed)
     return (replace(d, features=d.features[tr], labels=d.labels[tr]),
             replace(d, features=d.features[te], labels=d.labels[te]))
 
@@ -364,16 +350,9 @@ def subsample(d: Dataset, max_rows: int, seed: int) -> Dataset:
     """Stratified row-count cap used by the desk preset."""
     if d.n_rows <= max_rows:
         return d
-    rng = np.random.default_rng(seed)
-    counts = d.class_counts()
     frac = max_rows / d.n_rows
-    keep: list[np.ndarray] = []
-    for c in range(len(d.class_names)):
-        members = np.flatnonzero(d.labels == c)
-        n_keep = max(2, int(round(counts[c] * frac))) if counts[c] >= 2 else counts[c]
-        perm = rng.permutation(len(members))
-        keep.append(members[perm[:n_keep]])
-    idx = np.sort(np.concatenate(keep))
+    idx, _ = per_class_draw(d.labels, len(d.class_names),
+                            lambda n: max(2, round(n * frac)) if n >= 2 else n, seed)
     return replace(d, features=d.features[idx], labels=d.labels[idx])
 
 

@@ -218,16 +218,12 @@ def _class_names(cfg: PipelineConfig) -> list[str]:
 
 
 def _load_dataset(cfg: PipelineConfig, stage: str, matrix_name: str) -> fd.Dataset:
-    """A matrix written by `stage`, with ingest's schema and normalization."""
+    """A matrix written by `stage`, with ingest's schema."""
     meta = _read_json(_path(cfg, "ingest", "dataset.json"))
     features, labels = _load_matrix(_path(cfg, stage, matrix_name))
-    norm = meta["normalization"]
     return fd.Dataset(features=features, labels=labels,
                       class_names=list(meta["class_names"]),
-                      schema=[fd.ColumnSchema(**c) for c in meta["schema"]],
-                      normalization=fd.MinMaxParams(columns=list(norm["columns"]),
-                                                    x_mn=np.asarray(norm["x_mn"]),
-                                                    x_mx=np.asarray(norm["x_mx"])))
+                      schema=[fd.ColumnSchema(**c) for c in meta["schema"]])
 
 
 def _census(labels: np.ndarray, class_names: list[str]) -> dict[str, int]:
@@ -340,18 +336,6 @@ def stage_extract(cfg: PipelineConfig, out: str) -> dict:
     return {"feature_dim": info["feature_dim"], "mode": info["mode"]}
 
 
-def _inner_split(labels: np.ndarray, fraction: float, seed: int):
-    rng = np.random.default_rng(seed)
-    train_idx, val_idx = [], []
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        n_train = min(max(int(round(len(members) * fraction)), 1), len(members) - 1)
-        perm = rng.permutation(len(members))
-        train_idx.append(members[perm[:n_train]])
-        val_idx.append(members[perm[n_train:]])
-    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx))
-
-
 def stage_tune(cfg: PipelineConfig, out: str) -> dict:
     """Atom-search over the hyperparameter box against an inner validation
     fold, each candidate scored by a short proxy training run."""
@@ -363,8 +347,9 @@ def stage_tune(cfg: PipelineConfig, out: str) -> dict:
     else:
         features, labels = _load_matrix(_path(cfg, "extract", "train_features.bin"))
         n_classes = len(_class_names(cfg))
-        tr_idx, val_idx = _inner_split(labels, 0.8,
-                                       substream_seed(cfg.seed, "aso", "inner-split"))
+        tr_idx, val_idx = fd.per_class_draw(labels, n_classes,
+                                            lambda n: min(max(round(n * 0.8), 1), n - 1),
+                                            substream_seed(cfg.seed, "aso", "inner-split"))
         proxy_seed = substream_seed(cfg.seed, "aso", "proxy")
 
         def trainable(hp: Hyperparameters) -> float:
@@ -487,11 +472,32 @@ def _recorded(cfg: PipelineConfig, stage: str) -> str | None:
     return _read_json(path)["fingerprint"] if os.path.exists(path) else None
 
 
+# (absolute path, size, mtime_ns) -> sha256, so each input is hashed once
+_INPUT_DIGESTS: dict[tuple, str] = {}
+
+
+def _input_digest(path) -> str | None:
+    """sha256 of the file at `path`; None when it cannot be read, which
+    leaves the load itself to report why."""
+    try:
+        st = os.stat(path)
+        key = (os.path.abspath(path), st.st_size, st.st_mtime_ns)
+        if key not in _INPUT_DIGESTS:
+            _INPUT_DIGESTS[key] = file_digest(path)
+    except OSError:
+        return None
+    return _INPUT_DIGESTS[key]
+
+
 def stage_record(cfg: PipelineConfig, stage: str) -> dict:
-    """What `stage` would record under `cfg`: the config fields it reads, the
-    fingerprints its upstream stages recorded, and a sha256 over both."""
+    """What `stage` would record under `cfg`: the config fields it reads (for
+    the input file, its sha256 too), the fingerprints its upstream stages
+    recorded, and a sha256 over both."""
     config = asdict(cfg)
-    record = {"config": {name: config[name] for name in STAGE_TABLE[stage].fields},
+    fields = {name: config[name] for name in STAGE_TABLE[stage].fields}
+    if "input_path" in fields:
+        fields["input_sha256"] = _input_digest(cfg.input_path)
+    record = {"config": fields,
               "upstream": {up: _recorded(cfg, up) for up in _upstream(cfg, stage)}}
     blob = json.dumps(record, sort_keys=True).encode("utf-8")
     return dict(record, fingerprint=hashlib.sha256(blob).hexdigest())

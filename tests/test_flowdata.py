@@ -66,6 +66,13 @@ def reference_load(path, label_column: str) -> fd.Dataset:
                       class_names=list(class_codes), schema=schema)
 
 
+def assert_same_dataset(got: fd.Dataset, want: fd.Dataset):
+    assert got.schema == want.schema
+    assert got.class_names == want.class_names
+    for a, b in ((got.features, want.features), (got.labels, want.labels)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def assert_same_load(path, label_column="label"):
     """load_flow_csv and the reference give the same Dataset byte for
     byte, or raise the same error."""
@@ -77,11 +84,119 @@ def assert_same_load(path, label_column="label"):
         assert str(err.value) == str(exc)
         return None
     got = fd.load_flow_csv(path, label_column)
-    assert got.schema == want.schema
-    assert got.class_names == want.class_names
-    for a, b in ((got.features, want.features), (got.labels, want.labels)):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert_same_dataset(got, want)
     return got
+
+
+def reference_fit_categories(train: fd.Dataset) -> dict[str, list[str]]:
+    """The string-based fit that the code-based one replaced, kept as its
+    oracle: every cell mapped back to its string, row by row."""
+    fitted: dict[str, list[str]] = {}
+    slot = 0
+    for col in train.schema:
+        if col.kind not in fd.RETAINED_KINDS:
+            continue
+        if col.kind == fd.KIND_CATEGORICAL:
+            seen: list[str] = []
+            for code in train.features[:, slot]:
+                value = col.categories[int(code)]
+                if value not in seen:
+                    seen.append(value)
+            fitted[col.name] = seen
+        slot += 1
+    return fitted
+
+
+def reference_one_hot_encode(d: fd.Dataset, categories: dict[str, list[str]]):
+    """The string-based encoder that the code-based one replaced, kept as
+    its oracle. Returns the encoded Dataset and the unseen count per
+    categorical column."""
+    schema, blocks, unseen = [], [], {}
+    slot = 0
+    for col in d.schema:
+        if col.kind not in fd.RETAINED_KINDS:
+            schema.append(col)
+            continue
+        if col.kind == fd.KIND_NUMERIC:
+            schema.append(col)
+            blocks.append(d.features[:, slot:slot + 1])
+        else:
+            cats = categories[col.name]
+            index = {v: j for j, v in enumerate(cats)}
+            block = np.zeros((d.n_rows, len(cats)), dtype=np.float64)
+            unseen[col.name] = 0
+            for r, code in enumerate(d.features[:, slot]):
+                j = index.get(col.categories[int(code)])
+                if j is None:
+                    unseen[col.name] += 1
+                else:
+                    block[r, j] = 1.0
+            blocks.append(block)
+            schema += [fd.ColumnSchema(f"{col.name}={cat}", fd.KIND_NUMERIC) for cat in cats]
+        slot += 1
+    features = (np.concatenate(blocks, axis=1) if blocks
+                else np.empty((d.n_rows, 0), dtype=np.float64))
+    return fd.Dataset(features, d.labels, d.class_names, schema), unseen
+
+
+def reference_stratified_split(d: fd.Dataset, train_fraction: float, seed: int):
+    """The split's own per-class draw before `per_class_draw`, kept as its
+    oracle."""
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for c in range(len(d.class_names)):
+        members = np.flatnonzero(d.labels == c)
+        n_train = int(round(len(members) * train_fraction))
+        n_train = min(max(n_train, 1), len(members) - 1)
+        perm = rng.permutation(len(members))
+        train_idx.append(np.sort(members[perm[:n_train]]))
+        test_idx.append(np.sort(members[perm[n_train:]]))
+    tr = np.sort(np.concatenate(train_idx))
+    te = np.sort(np.concatenate(test_idx))
+    return (fd.Dataset(d.features[tr], d.labels[tr], d.class_names, d.schema),
+            fd.Dataset(d.features[te], d.labels[te], d.class_names, d.schema))
+
+
+def reference_subsample(d: fd.Dataset, max_rows: int, seed: int) -> fd.Dataset:
+    """The row cap's own per-class draw before `per_class_draw`, kept as
+    its oracle."""
+    rng = np.random.default_rng(seed)
+    counts = d.class_counts()
+    frac = max_rows / d.n_rows
+    keep = []
+    for c in range(len(d.class_names)):
+        members = np.flatnonzero(d.labels == c)
+        n_keep = max(2, int(round(counts[c] * frac))) if counts[c] >= 2 else counts[c]
+        perm = rng.permutation(len(members))
+        keep.append(members[perm[:n_keep]])
+    idx = np.sort(np.concatenate(keep))
+    return fd.Dataset(d.features[idx], d.labels[idx], d.class_names, d.schema)
+
+
+def assert_same_encoding(raw: fd.Dataset, train_fraction: float, seed: int,
+                         caplog, categories=None) -> dict:
+    """Split, fit and encode both splits as ingest does, and check each
+    step against the references byte for byte, the unseen-category log
+    lines included. `categories` replaces the fitted lists. Returns the
+    unseen counts of the test split."""
+    train, test = fd.stratified_split(raw, train_fraction, seed)
+    ref_train, ref_test = reference_stratified_split(raw, train_fraction, seed)
+    assert_same_dataset(train, ref_train)
+    assert_same_dataset(test, ref_test)
+    fitted = fd.fit_categories(train)
+    assert fitted == reference_fit_categories(train)
+    if categories is not None:
+        fitted = categories
+    for split in (train, test):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dosids.flowdata"):
+            got = fd.one_hot_encode(split, fitted)
+        want, unseen = reference_one_hot_encode(split, fitted)
+        assert_same_dataset(got, want)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"column {name!r}: {n} rows with categories unseen at fit time "
+            f"encoded as all-zeros" for name, n in unseen.items() if n]
+    return unseen
 
 
 def numeric_rows(n, late=None, at=None):
@@ -334,6 +449,52 @@ def test_fit_categories_first_seen_order(tmp_path):
     assert fd.fit_categories(ds) == {"proto": ["udp", "tcp", "icmp"]}
 
 
+def test_encoding_matches_reference_on_flow_csv(flow_csv, caplog):
+    raw = fd.drop_socket_and_constant_features(fd.load_flow_csv(flow_csv, "label"),
+                                               ["src_ip"])
+    for seed in range(4):
+        assert_same_encoding(raw, 0.5, seed, caplog)
+
+
+def test_encoding_matches_reference_when_train_order_differs(tmp_path, caplog):
+    """Row 0 (tcp) lands in the test split, so the training rows first
+    show udp, then icmp, then tcp: fitted order is not code order."""
+    path = tmp_path / "t.csv"
+    path.write_text(numeric_rows(12), encoding="utf-8")
+    raw = fd.load_flow_csv(path, "label")
+    train, test = fd.stratified_split(raw, 0.5, seed=2)
+    assert 0.0 in test.features[:, 0] and 0.0 not in train.features[:, 0]
+    assert fd.fit_categories(train) == {"proto": ["udp", "icmp", "tcp"]}
+    assert_same_encoding(raw, 0.5, 2, caplog)
+
+
+def test_encoding_matches_reference_on_unseen_values(tmp_path, caplog):
+    """Values the fitted list lacks encode as zeros and are counted: tcp
+    is in no training row under seed 3, and a given list may lack more."""
+    path = tmp_path / "t.csv"
+    path.write_text(numeric_rows(12), encoding="utf-8")
+    raw = fd.load_flow_csv(path, "label")
+    assert assert_same_encoding(raw, 0.5, 3, caplog) == {"proto": 4}
+    assert assert_same_encoding(raw, 0.5, 3, caplog, {"proto": ["tcp"]}) == {"proto": 2}
+    _, test = fd.stratified_split(raw, 0.5, seed=3)
+    out = fd.one_hot_encode(test, {"proto": ["tcp"]})
+    assert out.feature_names()[-1] == "proto=tcp"
+    assert np.array_equal(out.features[:, -1], [1, 0, 1, 0, 1, 1])
+
+
+def test_encoding_matches_reference_on_a_reread_column(tmp_path, monkeypatch, caplog):
+    """Column b turns categorical in its second chunk, so its codes come
+    from the second read of the file."""
+    monkeypatch.setattr(fd, "CHUNK_ROWS", 4)
+    path = tmp_path / "t.csv"
+    path.write_text(numeric_rows(11, "http", 6), encoding="utf-8")
+    raw = fd.load_flow_csv(path, "label")
+    assert {c.name: c.kind for c in raw.schema}["b"] == fd.KIND_CATEGORICAL
+    for seed in range(4):
+        unseen = assert_same_encoding(raw, 0.6, seed, caplog)
+        assert unseen["b"] > 0      # every b value is distinct
+
+
 def test_min_max_fit_values():
     ds = cluster_dataset(2, [6, 6], n_features=3)
     ds.features[:, 0] = [0, 5, 10, 2, 7, 1, 3, 9, 4, 6, 8, 2.5]
@@ -377,16 +538,6 @@ def test_min_max_apply_schema_mismatch():
     b = cluster_dataset(7, [4], n_features=2)
     with pytest.raises(ValueError):
         fd.min_max_apply(b, fd.min_max_fit(a))
-
-
-def test_min_max_round_trip_exact():
-    ds = cluster_dataset(8, [20, 20], n_features=6)
-    ds.features[:] = ds.features * 40.0 - 17.0
-    params = fd.min_max_fit(ds)
-    normalized = fd.min_max_apply(ds, params)
-    restored = fd.minmax_invert(params, normalized.features)
-    rel = np.abs(restored - ds.features) / np.maximum(np.abs(ds.features), 1.0)
-    assert rel.max() < 1e-12
 
 
 def test_min_max_train_hits_exact_bounds():
@@ -452,6 +603,22 @@ def test_subsample_caps_rows():
     counts = out.class_counts()
     assert counts.min() >= 2
     assert fd.subsample(ds, 10_000, seed=4) is ds
+
+
+def test_subsample_matches_reference_with_a_one_row_class():
+    ds = cluster_dataset(19, [40, 25, 1, 3], n_features=3)
+    for seed in range(4):
+        out = fd.subsample(ds, 20, seed)
+        assert_same_dataset(out, reference_subsample(ds, 20, seed))
+        assert np.array_equal(out.class_counts(), [12, 7, 1, 2])
+
+
+def test_per_class_draw_sorted_partition():
+    labels = np.array([2, 0, 0, 1, 2, 2, 0, 1, 0, 2])
+    drawn, rest = fd.per_class_draw(labels, 4, lambda n: n // 2, seed=5)
+    assert np.array_equal(np.sort(np.concatenate([drawn, rest])), np.arange(10))
+    assert list(drawn) == sorted(drawn) and list(rest) == sorted(rest)
+    assert np.array_equal(np.bincount(labels[drawn], minlength=4), [2, 1, 2, 0])
 
 
 def test_write_clean_csv_round_trip(tmp_path):

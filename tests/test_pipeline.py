@@ -9,14 +9,18 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dosids import augment, parallel
 from dosids import pipeline as pl
+from dosids.alexclf import HYPERPARAMETER_TYPES, Hyperparameters
+from dosids.aso import TuneResult
 from dosids.checkpoint import file_digest, load_arrays, save_arrays
 from dosids.cli import main as cli_main
+from dosids.seeding import substream_seed
 from conftest import cluster_dataset
 
 
@@ -183,6 +187,19 @@ def test_config_key_round_trips(tmp_path, key):
     assert cfg == default
 
 
+def test_readme_config_table_lists_exactly_the_accepted_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = readme[readme.index("| key | default | meaning |"):].splitlines()[2:]
+    listed = set()
+    for row in rows:
+        if not row.startswith("|"):
+            break
+        listed.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    accepted = (set(pl.CONFIG_KEYS) | {"augment.target.<class>"}
+                | {f"classifier.{name}" for name in HYPERPARAMETER_TYPES})
+    assert listed == accepted
+
+
 def test_parse_config_rejects_unknown_classifier_override(tmp_path):
     cfg_path = tmp_path / "c.txt"
     cfg_path.write_text("classifier.momentun = 0.5\n")
@@ -321,6 +338,45 @@ def test_tune_stage_writes_trace(tiny_run):
     assert all(a >= b for a, b in zip(best, best[1:]))
     payload = json.loads((tmp_path / "out/tune/hyperparams.json").read_text())
     assert payload["tuned"] is True
+
+
+def reference_inner_split(labels: np.ndarray, fraction: float, seed: int):
+    """The tune stage's own inner split before `flowdata.per_class_draw`,
+    kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    train_idx, val_idx = [], []
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        n_train = min(max(int(round(len(members) * fraction)), 1), len(members) - 1)
+        perm = rng.permutation(len(members))
+        train_idx.append(members[perm[:n_train]])
+        val_idx.append(members[perm[n_train:]])
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx))
+
+
+def test_tune_inner_split_matches_reference(tiny_run, monkeypatch):
+    """The 0.8 inner split that scores each candidate, with a class of one
+    training row, which goes to the validation fold."""
+    cfg_path, tmp_path = tiny_run
+    cfg = pl.config_from_file(cfg_path)
+    write_flow_csv(cfg.input_path, counts=(30, 30, 30, 10, 2))
+    cfg.augment_policy = "none"
+    for stage in ("ingest", "augment", "extract"):
+        pl.run_stage(cfg, stage)
+    draw, draws = pl.fd.per_class_draw, []
+    monkeypatch.setattr(pl.fd, "per_class_draw",
+                        lambda *args: draws.append(draw(*args)) or draws[-1])
+    monkeypatch.setattr(pl, "tune_hyperparameters",
+                        lambda trainable, aso_cfg: TuneResult(Hyperparameters(), 0.0))
+    pl.run_stage(cfg, "tune")
+
+    labels = load_arrays(tmp_path / "out/extract/train_features.bin")["labels"].astype(np.int64)
+    want = reference_inner_split(labels, 0.8, substream_seed(cfg.seed, "aso", "inner-split"))
+    assert len(draws) == 1
+    for got, ref in zip(draws[0], want):
+        assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
+    one_row = np.flatnonzero(np.bincount(labels) == 1)
+    assert len(one_row) == 1 and one_row[0] in labels[draws[0][1]]
 
 
 def test_tune_worker_error_is_a_tune_stage_error(tiny_run, monkeypatch):
@@ -477,6 +533,21 @@ def test_stale_upstream_is_refused_until_rerun(tiny_run, capsys):
     assert err.value.code == 14
     for stage in ("tune", "train", "evaluate", "report"):
         pl.run_stage(cfg, stage)
+
+
+def test_rewritten_input_is_refused_until_rerun(tiny_run, capsys):
+    """Ingest's fingerprint covers what the input file holds, not only its
+    path, and a re-made ingest makes everything downstream stale."""
+    cfg_path, tmp_path = tiny_run
+    cfg = pl.config_from_file(cfg_path)
+    pl.run_pipeline(cfg)
+    write_flow_csv(cfg.input_path, seed=5)
+    assert cli_main(["augment", "--config", str(cfg_path)]) == 11
+    assert "re-run stage 'ingest'" in capsys.readouterr().err
+
+    pl.run_stage(cfg, "ingest")
+    assert cli_main(["train", "--config", str(cfg_path)]) == 14
+    assert "re-run stage 'extract'" in capsys.readouterr().err
 
 
 def test_unfinished_stage_is_refused(tiny_run, monkeypatch):

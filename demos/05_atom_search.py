@@ -34,9 +34,3 @@ for seed in range(10):
                  AsoConfig(population=20, iterations=200, seed=seed))
     hits.append(r.position[0])
 print("best positions over 10 seeds:", np.round(hits, 4))
-
-print("\n== the literal-exponent force variant stays available ==")
-literal = optimize(sphere, space, AsoConfig(population=20, iterations=200,
-                                            seed=0, force_law="literal"))
-print(f"literal force law best fitness: {literal.fitness:.3e} "
-      "(pure attraction, no repulsive regime)")

@@ -29,17 +29,10 @@ H_MAX = 1.24        # scaled-distance upper clamp
 
 @dataclass
 class SearchSpace:
-    """Box bounds plus per-dimension decoding kinds.
-
-    Kinds: "continuous" (used as-is), "integer" (rounded), "categorical"
-    (rounded position indexes into `choices[dim]`). Positions themselves
-    are always continuous; kinds only affect decode().
-    """
+    """Box bounds; positions are continuous points inside them."""
 
     lower: np.ndarray
     upper: np.ndarray
-    kinds: list[str] | None = None
-    choices: dict[int, list] | None = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=np.float64)
@@ -48,27 +41,10 @@ class SearchSpace:
             raise ValueError("lower/upper must be 1-D and the same length")
         if not np.all(self.lower < self.upper):
             raise ValueError("need lower < upper in every dimension")
-        if self.kinds is not None and len(self.kinds) != self.dims:
-            raise ValueError("one kind per dimension")
 
     @property
     def dims(self) -> int:
         return self.lower.shape[0]
-
-    def decode(self, position: np.ndarray) -> list:
-        values = []
-        for i, v in enumerate(np.asarray(position, dtype=np.float64)):
-            kind = self.kinds[i] if self.kinds else "continuous"
-            if kind == "continuous":
-                values.append(float(v))
-            elif kind == "integer":
-                values.append(int(np.clip(round(v), self.lower[i], self.upper[i])))
-            elif kind == "categorical":
-                idx = int(np.clip(round(v), self.lower[i], self.upper[i]))
-                values.append(self.choices[i][idx])
-            else:
-                raise ValueError(f"unknown dimension kind {kind!r}")
-        return values
 
 
 @dataclass
@@ -77,7 +53,6 @@ class AsoConfig:
     iterations: int = 50
     depth_weight: float = 50.0        # interaction force scale
     multiplier_weight: float = 0.2    # constraint force scale
-    force_law: str = "lj"             # "lj" (inverse powers) or "literal" (positive powers)
     seed: int = 0
 
     def validate(self):
@@ -87,8 +62,6 @@ class AsoConfig:
             raise ValueError("iterations must be >= 1")
         if self.depth_weight <= 0 or self.multiplier_weight <= 0:
             raise ValueError("force weights must be positive")
-        if self.force_law not in ("lj", "literal"):
-            raise ValueError("force_law must be 'lj' or 'literal'")
 
 
 @dataclass
@@ -141,16 +114,12 @@ def length_scale(x_i: np.ndarray, kbest_positions: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x_i, dtype=np.float64) - centroid))
 
 
-def _force_bracket(h: np.ndarray, cfg: AsoConfig) -> np.ndarray:
-    if cfg.force_law == "lj":
-        return 2.0 * h ** -13.0 - h ** -7.0
-    return 2.0 * h ** 13.0 - h ** 7.0
-
-
-def _interaction_forces(x: np.ndarray, kbest: np.ndarray, sigma: np.ndarray,
-                        rand_pair: np.ndarray, nt: int, cfg: AsoConfig) -> np.ndarray:
+def interaction_forces(x: np.ndarray, kbest: np.ndarray, sigma: np.ndarray,
+                       rand_pair: np.ndarray, nt: int, cfg: AsoConfig) -> np.ndarray:
     """Forces on atoms x [n, d] from the K-best atoms [K, d], given each
-    atom's length scale [n] and pair draws [n, K]."""
+    atom's length scale [n] and pair draws [n, K]. Each pair pulls by its
+    draw times -eta * (2 h^-13 - h^-7) toward the neighbor, so a positive
+    bracket repels; zero-distance pairs (the atom itself) add nothing."""
     eta = depth_function(nt, cfg)
     h_min = H_MIN_BASE + drift_factor(nt, cfg)
     diffs = kbest[None, :, :] - x[:, None, :]                 # [n, K, d]
@@ -159,29 +128,12 @@ def _interaction_forces(x: np.ndarray, kbest: np.ndarray, sigma: np.ndarray,
     flat = sigma <= 0.0
     h = np.clip(dist / np.where(flat, 1.0, sigma)[:, None], h_min, H_MAX)
     h[flat] = h_min
-    magnitude = -eta * _force_bracket(h, cfg)
+    magnitude = -eta * (2.0 * h ** -13.0 - h ** -7.0)
     unit = np.divide(diffs, dist[:, :, None], out=np.zeros_like(diffs),
                      where=live[:, :, None])
     forces = ((rand_pair * magnitude)[:, :, None] * unit).sum(axis=1)
     forces[~live.any(axis=1)] = 0.0   # +0.0, not the -0.0 a sum of signed zeros can give
     return forces
-
-
-def interaction_force(x_i: np.ndarray, kbest_positions: np.ndarray, sigma: float,
-                      nt: int, cfg: AsoConfig, rng: np.random.Generator) -> np.ndarray:
-    """Total force on x_i from the K-best atoms.
-
-    Each pair contributes -eta * (2 h^-13 - h^-7) along the unit vector
-    from x_i toward the neighbor, weighted by one uniform draw per pair:
-    a positive bracket pushes away (repulsion), a negative one pulls in.
-    Zero-distance pairs (including the atom itself) contribute nothing
-    but still consume their draw, keeping streams aligned.
-    """
-    x_i = np.asarray(x_i, dtype=np.float64)
-    kbest = np.atleast_2d(np.asarray(kbest_positions, dtype=np.float64))
-    rand_pair = rng.random(kbest.shape[0])
-    return _interaction_forces(x_i[None], kbest, np.array([float(sigma)]),
-                               rand_pair[None], nt, cfg)[0]
 
 
 def constraint_force(x_i: np.ndarray, best_position: np.ndarray, nt: int,
@@ -234,7 +186,7 @@ def step(positions: np.ndarray, velocities: np.ndarray, fitnesses: np.ndarray,
     draws = np.stack([substream(cfg.seed, "step", nt, i).random(k + d) for i in range(n)])
     # One 1-D norm per atom: a batched norm(axis=1) differs in the last ulp.
     sigma = np.array([length_scale(x, kbest) for x in positions])
-    forces = _interaction_forces(positions, kbest, sigma, draws[:, :k], nt, cfg)
+    forces = interaction_forces(positions, kbest, sigma, draws[:, :k], nt, cfg)
     accel = (forces + constraint_force(positions, best_position, nt, cfg)) / masses[:, None]
     new_velocities = draws[:, k:] * velocities + accel
     moved = positions + new_velocities
@@ -308,16 +260,17 @@ def hyperparameter_space() -> SearchSpace:
     return SearchSpace(
         lower=np.array([0.5, -4.0, -4.0, 0.0, 20.0]),
         upper=np.array([0.99, -1.0, -1.5, 3.0, 100.0]),
-        kinds=["continuous", "continuous", "continuous", "categorical", "integer"],
-        choices={3: BATCH_CHOICES},
     )
 
 
 def decode_hyperparameters(position: np.ndarray) -> Hyperparameters:
-    momentum, log_lr, log_wd, batch, epochs = hyperparameter_space().decode(position)
-    return Hyperparameters(momentum=momentum, weight_decay=10.0 ** log_wd,
-                           epochs=epochs, learning_rate=10.0 ** log_lr,
-                           batch_size=batch)
+    """Momentum as is, learning rate and weight decay from log10, and the
+    batch index and epochs rounded, then clipped to the box."""
+    space = hyperparameter_space()
+    momentum, log_lr, log_wd, batch, epochs = map(float, position)
+    batch, epochs = np.clip([round(batch), round(epochs)], space.lower[3:], space.upper[3:])
+    return Hyperparameters(momentum=momentum, weight_decay=10.0 ** log_wd, epochs=int(epochs),
+                           learning_rate=10.0 ** log_lr, batch_size=BATCH_CHOICES[int(batch)])
 
 
 @dataclass

@@ -74,8 +74,15 @@ class PipelineConfig:
             raise ValueError("augment_policy must be 'median' or 'none'")
         if self.classifier_input not in ("features", "raw"):
             raise ValueError("classifier_input must be 'features' or 'raw'")
-        if self.proxy_epochs < 1:
-            raise ValueError("proxy_epochs must be >= 1")
+        for name, least in (("subsample", 1), ("extractor_blocks", 1),
+                            ("extractor_base_channels", 1), ("extractor_feature_dim", 1),
+                            ("extractor_epochs", 0), ("extractor_batch_size", 1),
+                            ("proxy_epochs", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if self.extractor_lr <= 0:
+            raise ValueError("extractor_lr must be positive")
         self.gan.validate()
         self.aso.validate()
         if self.classifier_overrides is not None:
@@ -152,7 +159,6 @@ CONFIG_KEYS = {
     "aso.iterations": ("aso.iterations", int),
     "aso.depth_weight": ("aso.depth_weight", float),
     "aso.multiplier_weight": ("aso.multiplier_weight", float),
-    "aso.force_law": ("aso.force_law", str),
     "aso.proxy_epochs": ("proxy_epochs", int),
     "tune.skip": ("skip_tune", _as_bool),
     "classifier.input": ("classifier_input", str),

@@ -3,6 +3,7 @@ benchmark convergence against a random-search baseline, and the
 hyperparameter decode contract."""
 
 import ctypes
+import dataclasses
 import logging
 import multiprocessing
 import os
@@ -15,7 +16,7 @@ from dosids.alexclf import Hyperparameters
 from dosids.aso import (AsoConfig, SearchSpace, BATCH_CHOICES, H_MAX, H_MIN_BASE,
                         compute_masses, constraint_force, decode_hyperparameters,
                         depth_function, drift_factor, hyperparameter_space,
-                        interaction_force, k_best_count, lagrange_multiplier,
+                        interaction_forces, k_best_count, lagrange_multiplier,
                         length_scale, optimize, random_search, step,
                         tune_hyperparameters)
 from dosids.seeding import substream
@@ -112,8 +113,9 @@ def test_h_scaled_distance_clamps():
              (1.0, 0.0, h_min)]        # degenerate length scale
     for distance, sigma, h in cases:
         draw = substream(4, "pair").random(1)[0]
-        force = interaction_force([0.0], [[distance]], sigma, 10, cfg,
-                                  substream(4, "pair"))
+        force = interaction_forces(np.zeros((1, 1)), np.array([[distance]]),
+                                   np.array([sigma]), substream(4, "pair").random((1, 1)),
+                                   10, cfg)[0]
         expected = draw * (-eta * (2.0 * h ** -13.0 - h ** -7.0))
         assert np.isclose(force[0], expected, rtol=1e-12, atol=0.0), (distance, sigma)
 
@@ -128,25 +130,22 @@ def test_force_bracket_regimes():
 
 def test_interaction_force_directions():
     cfg = AsoConfig(iterations=100, seed=0)
-    x_i = np.zeros(2)
+    x_i = np.zeros((1, 2))
     neighbor = np.array([[1.0, 0.0]])
-
-    class OnesRng:
-        def random(self, n):
-            return np.ones(n)
+    ones = np.ones((1, 1))
 
     # ratio clamped to h_min -> repulsive bracket -> force away from neighbor
-    force = interaction_force(x_i, neighbor, 10.0, 10, cfg, OnesRng())
+    force = interaction_forces(x_i, neighbor, np.array([10.0]), ones, 10, cfg)[0]
     assert force[0] < 0
     # ratio clamped to h_max -> attractive bracket -> force toward neighbor
-    force = interaction_force(x_i, neighbor, 0.1, 10, cfg, OnesRng())
+    force = interaction_forces(x_i, neighbor, np.array([0.1]), ones, 10, cfg)[0]
     assert force[0] > 0
 
 
 def test_interaction_force_self_only_is_zero():
     cfg = AsoConfig(iterations=50)
-    force = interaction_force([1.0, 1.0], [[1.0, 1.0]], 1.0, 5, cfg,
-                              substream(0, "t"))
+    force = interaction_forces(np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]),
+                               np.array([1.0]), substream(0, "t").random((1, 1)), 5, cfg)[0]
     assert np.array_equal(force, np.zeros(2))
 
 
@@ -239,27 +238,73 @@ def test_optimize_nan_resample_then_abort():
         optimize(lambda x: np.nan, space, AsoConfig(population=3, iterations=2, seed=6))
 
 
-def test_literal_force_law_runs():
-    space = SearchSpace([-5.0, -5.0], [5.0, 5.0])
-    cfg = AsoConfig(population=10, iterations=30, seed=7, force_law="literal")
-    result = optimize(lambda x: float((x ** 2).sum()), space, cfg)
-    assert np.isfinite(result.fitness)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         AsoConfig(population=1).validate()
     with pytest.raises(ValueError):
-        AsoConfig(force_law="magnetism").validate()
-    with pytest.raises(ValueError):
         SearchSpace([0.0], [0.0])
 
 
-def test_search_space_decode_kinds():
-    space = SearchSpace([0.0, 0.0], [10.0, 2.0], kinds=["continuous", "integer"])
-    assert space.decode([3.7, 1.4]) == [3.7, 1]
-    cat = SearchSpace([0.0], [2.0], kinds=["categorical"], choices={0: ["a", "b", "c"]})
-    assert cat.decode([1.6]) == ["c"]
+def reference_decode_hyperparameters(position) -> Hyperparameters:
+    """The generic per-dimension decoder the tuner used before
+    decode_hyperparameters read the five coordinates directly, kept as its
+    oracle: continuous dimensions as is, integer ones rounded and clipped,
+    and the categorical batch index rounded, clipped and looked up."""
+    space = hyperparameter_space()
+    kinds = ["continuous", "continuous", "continuous", "categorical", "integer"]
+    values = []
+    for i, v in enumerate(np.asarray(position, dtype=np.float64)):
+        if kinds[i] == "continuous":
+            values.append(float(v))
+        elif kinds[i] == "integer":
+            values.append(int(np.clip(round(v), space.lower[i], space.upper[i])))
+        else:
+            values.append(BATCH_CHOICES[int(np.clip(round(v), space.lower[i], space.upper[i]))])
+    momentum, log_lr, log_wd, batch, epochs = values
+    return Hyperparameters(momentum=momentum, weight_decay=10.0 ** log_wd,
+                           epochs=epochs, learning_rate=10.0 ** log_lr,
+                           batch_size=batch)
+
+
+def assert_decodes_like_reference(positions):
+    for position in positions:
+        got = dataclasses.astuple(decode_hyperparameters(position))
+        want = dataclasses.astuple(reference_decode_hyperparameters(position))
+        assert got == want, position
+        assert [type(v) for v in got] == [type(v) for v in want], position
+
+
+def test_decode_matches_reference_on_random_positions():
+    space = hyperparameter_space()
+    rng = np.random.default_rng(21)
+    assert_decodes_like_reference(rng.uniform(space.lower, space.upper, (4000, 5)))
+    # a box one span wider on every side, where only the clip keeps the
+    # batch index and the epochs in range
+    span = space.upper - space.lower
+    assert_decodes_like_reference(rng.uniform(space.lower - span, space.upper + span,
+                                              (2000, 5)))
+
+
+def test_decode_matches_reference_on_every_half_point():
+    space = hyperparameter_space()
+    rng = np.random.default_rng(22)
+    # every half-point of both axes, plus the one just outside each end
+    batches = np.arange(space.lower[3] - 0.5, space.upper[3] + 0.75, 0.5)
+    epochs = np.arange(space.lower[4] - 0.5, space.upper[4] + 0.75, 0.5)
+    grid = np.array([[b, e] for b in batches for e in epochs])
+    positions = rng.uniform(space.lower, space.upper, (len(grid), 5))
+    positions[:, 3:] = grid
+    assert len(positions) == 9 * 163
+    assert_decodes_like_reference(positions)
+
+
+def test_decode_matches_reference_on_both_corners():
+    space = hyperparameter_space()
+    span = space.upper - space.lower
+    assert_decodes_like_reference([space.lower, space.upper,
+                                   space.lower - span, space.upper + span])
+    assert decode_hyperparameters(space.lower).batch_size == BATCH_CHOICES[0]
+    assert decode_hyperparameters(space.upper).epochs == 100
 
 
 def test_decode_hyperparameters_valid_everywhere():

@@ -17,7 +17,8 @@ import pytest
 from dosids import augment, parallel
 from dosids import pipeline as pl
 from dosids.alexclf import HYPERPARAMETER_TYPES, Hyperparameters
-from dosids.aso import TuneResult
+from dosids.aso import AsoConfig, TuneResult
+from dosids.augment import GanConfig
 from dosids.checkpoint import file_digest, load_arrays, save_arrays
 from dosids.cli import main as cli_main
 from dosids.seeding import substream_seed
@@ -157,7 +158,6 @@ CONFIG_SAMPLES = {
     "aso.iterations": ("9", 9),
     "aso.depth_weight": ("25.5", 25.5),
     "aso.multiplier_weight": ("0.4", 0.4),
-    "aso.force_law": ("literal", "literal"),
     "aso.proxy_epochs": ("2", 2),
     "tune.skip": ("yes", True),
     "classifier.input": ("raw", "raw"),
@@ -185,6 +185,21 @@ def test_config_key_round_trips(tmp_path, key):
     setattr(getattr(cfg, parent) if parent else cfg, name,
             getattr(getattr(default, parent) if parent else default, name))
     assert cfg == default
+
+
+def test_sub_config_fields_and_keys_agree():
+    """Each GAN and atom-search setting other than the seed, which derives
+    from run.seed, has exactly one key, and every gan.*/aso.* key names a
+    field."""
+    targets = [target for target, _ in pl.CONFIG_KEYS.values()]
+    owners = {"": pl.PipelineConfig, "gan": GanConfig, "aso": AsoConfig}
+    for prefix in ("gan", "aso"):
+        names = {f.name for f in dataclasses.fields(owners[prefix])} - {"seed"}
+        assert all(targets.count(f"{prefix}.{name}") == 1 for name in names), prefix
+        for key, (target, _) in pl.CONFIG_KEYS.items():
+            if key.startswith(f"{prefix}."):
+                parent, _, name = target.rpartition(".")
+                assert name in {f.name for f in dataclasses.fields(owners[parent])}, key
 
 
 def test_readme_config_table_lists_exactly_the_accepted_keys():
@@ -614,6 +629,21 @@ def test_cli_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("nonsense.key = 1\n")
     assert cli_main(["run", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("setting", [
+    "extractor.batch_size = 0", "extractor.base_channels = 0", "extractor.blocks = 0",
+    "extractor.feature_dim = 0", "data.subsample = 0", "extractor.epochs = -3",
+    "extractor.learning_rate = -1"])
+def test_cli_out_of_range_setting_is_a_config_error(tmp_path, capsys, setting):
+    """Refused before any stage runs, not by a stage crashing, or a run
+    finishing on a silently wrong setting."""
+    csv = write_flow_csv(tmp_path / "flows.csv", counts=(30, 30, 30))
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(CONFIG_TEMPLATE.format(csv=csv, out=tmp_path / "out") + setting + "\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_override(tiny_run):

@@ -21,7 +21,6 @@ CONV_CHANNELS = (32, 64, 64)
 KERNEL_SIZES = (7, 5, 3)      # shrunk to odd sizes that fit narrow inputs
 DENSE_WIDTHS = (128, 64)
 DROPOUT_RATE = 0.5            # on the inputs of both hidden dense layers
-PREDICT_BATCH = 256
 
 
 @dataclass
@@ -110,7 +109,6 @@ class AlexNetClassifier(ng.Module):
             else:
                 self.pools.append((1, 1))
             c_in = c_out
-        self.lrn = ng.LocalResponseNorm()
         self.flat_dim = c_in * length
 
         self.dense1 = ng.Dense(self.flat_dim, DENSE_WIDTHS[0], rng=rng)
@@ -126,7 +124,7 @@ class AlexNetClassifier(ng.Module):
             h = ng.relu(conv(h))
             h = ng.max_pool1d(h, window, stride)
             if stage < 2:
-                h = self.lrn(h)
+                h = ng.lrn(h)
         h = h.reshape(h.shape[0], self.flat_dim)
         use_dropout = train and rng is not None
         if use_dropout:
@@ -177,5 +175,5 @@ def predict(clf: AlexNetClassifier, features: np.ndarray) -> tuple[np.ndarray, n
     features = np.asarray(features, dtype=np.float64)
     _check_width(clf, features)
     probs = ng.eval_rows(lambda x: ng.softmax_probs(clf.logits(x, train=False).data),
-                         features, PREDICT_BATCH, clf.n_classes)
+                         features, ng.EVAL_BATCH, clf.n_classes)
     return probs.argmax(axis=1), probs

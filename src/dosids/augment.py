@@ -28,7 +28,6 @@ PROB_FLOOR = 1e-12
 JITTER_SIGMA = 0.01
 GENERATOR_CHANNELS = (32, 16, 8)
 DISCRIMINATOR_CHANNELS = (8, 16)
-LEAKY_SLOPE = 0.2
 
 
 @dataclass
@@ -78,9 +77,9 @@ class Generator(ng.Module):
     def __call__(self, z: ng.Tensor, train: bool) -> ng.Tensor:
         b = z.shape[0]
         h = self.stem(z).reshape(b, self.base_channels, self.base_len)
-        h = ng.leaky_relu(self.bn0(h, train), LEAKY_SLOPE)
-        h = ng.leaky_relu(self.bn1(self.up1(h), train), LEAKY_SLOPE)
-        h = ng.leaky_relu(self.bn2(self.up2(h), train), LEAKY_SLOPE)
+        h = ng.leaky_relu(self.bn0(h, train))
+        h = ng.leaky_relu(self.bn1(self.up1(h), train))
+        h = ng.leaky_relu(self.bn2(self.up2(h), train))
         y = ng.tanh(self.head(h))                      # [B, 1, 4 * base_len]
         y = y[:, 0, :self.n_features]
         return (y + 1.0) * 0.5                         # (-1, 1) -> (0, 1)
@@ -106,8 +105,8 @@ class Discriminator(ng.Module):
     def __call__(self, x: ng.Tensor, train: bool) -> ng.Tensor:
         b = x.shape[0]
         h = x.reshape(b, 1, self.n_features)
-        h = ng.leaky_relu(self.conv1(h), LEAKY_SLOPE)
-        h = ng.leaky_relu(self.bn2(self.conv2(h), train), LEAKY_SLOPE)
+        h = ng.leaky_relu(self.conv1(h))
+        h = ng.leaky_relu(self.bn2(self.conv2(h), train))
         h = self.conv3(h)
         pooled = ng.global_avg_pool1d(h).reshape(b)    # pooling stands in for a dense head
         return ng.sigmoid(pooled)

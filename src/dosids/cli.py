@@ -20,7 +20,7 @@ from .pipeline import (PipelineConfig, StageError, apply_preset,
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="pipeline config file")
     parser.add_argument("--preset", choices=["desk", "paper"],
-                        help="apply a size preset on top of the config")
+                        help="fill the size settings the config leaves at their defaults")
     parser.add_argument("--seed", type=int, help="override run.seed")
     parser.add_argument("--out", help="override run.out")
     parser.add_argument("--skip-tune", action="store_true",

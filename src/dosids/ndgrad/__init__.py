@@ -5,8 +5,8 @@ from .ops import (
     RunningStats, sigmoid, softmax_cross_entropy, softmax_probs, tanh,
 )
 from .nn import (
-    BatchNorm1d, CLIP_NORM, Conv1d, ConvTranspose1d, Dense, LocalResponseNorm,
-    Module, SGD, clip_gradients, eval_rows, fit,
+    BatchNorm1d, CLIP_NORM, Conv1d, ConvTranspose1d, Dense, EVAL_BATCH, Module,
+    SGD, clip_gradients, eval_rows, fit,
 )
 from .gradcheck import grad_check
 
@@ -16,7 +16,7 @@ __all__ = [
     "dense", "dropout", "global_avg_pool1d", "leaky_relu", "lrn", "max_pool1d",
     "relu", "RunningStats", "sigmoid", "softmax_cross_entropy",
     "softmax_probs", "tanh",
-    "BatchNorm1d", "Conv1d", "ConvTranspose1d", "Dense", "LocalResponseNorm",
-    "Module", "SGD", "CLIP_NORM", "clip_gradients", "eval_rows", "fit",
+    "BatchNorm1d", "Conv1d", "ConvTranspose1d", "Dense", "Module", "SGD",
+    "CLIP_NORM", "EVAL_BATCH", "clip_gradients", "eval_rows", "fit",
     "grad_check",
 ]

@@ -13,6 +13,7 @@ from . import ops
 from .tensor import Tensor, no_grad
 
 CLIP_NORM = 5.0     # global gradient norm `fit` clips every step to
+EVAL_BATCH = 256    # rows per inference forward
 
 
 def _uniform_init(shape, fan_in, fan_out, rng) -> Tensor:
@@ -105,38 +106,22 @@ class ConvTranspose1d(Module):
 
 
 class Dense(Module):
-    def __init__(self, n_in, n_out, bias=True, rng=None):
+    def __init__(self, n_in, n_out, rng=None):
         self.weight = _uniform_init((n_out, n_in), n_in, n_out, rng)
-        self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x):
         return ops.dense(x, self.weight, self.bias)
 
 
 class BatchNorm1d(Module):
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    def __init__(self, channels):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running = ops.RunningStats(channels)
-        self.eps = eps
-        self.momentum = momentum
 
     def __call__(self, x, train):
-        return ops.batch_norm1d(x, self.gamma, self.beta, self.running, train,
-                                self.eps, self.momentum)
-
-
-class LocalResponseNorm(Module):
-    """Parameterless divisive normalization across adjacent channels."""
-
-    def __init__(self, size=5, alpha=1e-4, beta=0.75, k=2.0):
-        self.size = size
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
-
-    def __call__(self, x):
-        return ops.lrn(x, self.size, self.alpha, self.beta, self.k)
+        return ops.batch_norm1d(x, self.gamma, self.beta, self.running, train)
 
 
 class SGD:

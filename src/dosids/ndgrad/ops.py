@@ -9,6 +9,10 @@ import numpy as np
 
 from .tensor import Tensor, as_tensor, make_from_op, _accumulate
 
+LEAKY_SLOPE = 0.2     # DCGAN's LeakyReLU slope
+BN_EPS = 1e-5         # batch norm's variance floor
+BN_MOMENTUM = 0.1     # weight of each batch in the running statistics
+
 
 # ---- activations --------------------------------------------------------
 
@@ -22,8 +26,8 @@ def relu(x: Tensor) -> Tensor:
     return make_from_op(out_data, (x,), bw)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    factor = np.where(x.data > 0, 1.0, slope)
+def leaky_relu(x: Tensor) -> Tensor:
+    factor = np.where(x.data > 0, 1.0, LEAKY_SLOPE)
     out_data = x.data * factor
 
     def bw(g):
@@ -55,9 +59,7 @@ def sigmoid(x: Tensor) -> Tensor:
 _ACTIVATIONS = {"relu": relu, "leaky_relu": leaky_relu, "tanh": tanh, "sigmoid": sigmoid}
 
 
-def activation(x: Tensor, kind: str, slope: float = 0.2) -> Tensor:
-    if kind == "leaky_relu":
-        return leaky_relu(x, slope)
+def activation(x: Tensor, kind: str) -> Tensor:
     try:
         return _ACTIVATIONS[kind](x)
     except KeyError:
@@ -83,6 +85,16 @@ def _sliding_patches(a: np.ndarray, window: int, stride: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(
         a, shape=(b, c, window, steps), strides=(s0, s1, s2, s2 * stride), writeable=False
     )
+
+
+def _scatter_taps(taps: np.ndarray, stride: int, full: int) -> np.ndarray:
+    """Adjoint of _sliding_patches: sum taps [B, C, K, T] into zeros
+    [B, C, full], tap i of step t landing at position i + stride * t."""
+    b, c, k, t = taps.shape
+    out = np.zeros((b, c, full), dtype=np.float64)
+    for i in range(k):
+        out[:, :, i:i + stride * (t - 1) + 1:stride] += taps[:, :, i, :]
+    return out
 
 
 def _weight_grad(g: np.ndarray, patches: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -132,9 +144,7 @@ def conv1d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0,
         if x.requires_grad:
             # dpatches[b,(c,k),t] = W2^T @ g
             dpatches = np.matmul(w2.T, g).reshape(b, c_in, k, t)
-            dxp = np.zeros_like(xp)
-            for i in range(k):
-                dxp[:, :, i:i + stride * (t - 1) + 1:stride] += dpatches[:, :, i, :]
+            dxp = _scatter_taps(dpatches, stride, xp.shape[2])
             dx = dxp[:, :, padding:padding + length] if padding else dxp
             _accumulate(x, dx)
 
@@ -161,17 +171,13 @@ def conv_transpose1d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 
     # contrib[b,(o,k),l] = W2^T @ x with W2 = weight[(c),(o,k)]
     w2 = weight.data.reshape(c_in, c_out * k)
     contrib = np.matmul(w2.T, x.data).reshape(b, c_out, k, length)
-    out_full = np.zeros((b, c_out, full), dtype=np.float64)
-    for i in range(k):
-        out_full[:, :, i:i + stride * (length - 1) + 1:stride] += contrib[:, :, i, :]
+    out_full = _scatter_taps(contrib, stride, full)
     out_data = out_full[:, :, padding:padding + out_len].copy()
     if bias is not None:
         out_data = out_data + bias.data[None, :, None]
 
     def bw(g):
-        g_full = np.zeros((b, c_out, full), dtype=np.float64)
-        g_full[:, :, padding:padding + out_len] = g
-        gpatches = _sliding_patches(g_full, k, stride)        # [B, Cout, K, L]
+        gpatches = _sliding_patches(_pad_length(g, padding), k, stride)  # [B, Cout, K, L]
         gcols = gpatches.reshape(b, c_out * k, length)
         if x.requires_grad:
             # dx[b,c,l] = sum_{o,k} gpatches[b,o,k,l] * weight[c,o,k]
@@ -197,7 +203,7 @@ class RunningStats:
 
 
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
-                 train: bool, eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
+                 train: bool) -> Tensor:
     """Normalize per channel over the batch (and length, when present).
 
     Train mode uses batch statistics and folds them into `running`
@@ -219,12 +225,12 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
         mu = np.add.reduce(x.data, axes, keepdims=True) / n
         xc = x.data - mu
         var = np.add.reduce(xc * xc, axes) / n  # biased, matching the backward below
-        running.mean = (1.0 - momentum) * running.mean + momentum * mu.reshape(-1)
-        running.var = (1.0 - momentum) * running.var + momentum * var
-        inv_std = 1.0 / np.sqrt(var.reshape(pshape) + eps)
+        running.mean = (1.0 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mu.reshape(-1)
+        running.var = (1.0 - BN_MOMENTUM) * running.var + BN_MOMENTUM * var
+        inv_std = 1.0 / np.sqrt(var.reshape(pshape) + BN_EPS)
         xhat = xc * inv_std
     else:
-        inv_std = 1.0 / np.sqrt(running.var.reshape(pshape) + eps)
+        inv_std = 1.0 / np.sqrt(running.var.reshape(pshape) + BN_EPS)
         xhat = (x.data - running.mean.reshape(pshape)) * inv_std
     out_data = gam * xhat + bet
 
@@ -341,19 +347,15 @@ def _max_pool1d_tiled(x: Tensor, window: int) -> Tensor:
 
 
 def avg_pool1d(x: Tensor, window: int, stride: int) -> Tensor:
-    b, c, length = x.shape
+    length = x.shape[2]
     if window > length:
         raise ValueError(f"pool window {window} exceeds length {length}")
     patches = _sliding_patches(x.data, window, stride)
-    t = patches.shape[3]
     out_data = patches.mean(axis=2)
 
     def bw(g):
-        dx = np.zeros_like(x.data)
-        share = g / window
-        for i in range(window):
-            dx[:, :, i:i + stride * (t - 1) + 1:stride] += share
-        _accumulate(x, dx)
+        share = np.broadcast_to((g / window)[:, :, None, :], patches.shape)
+        _accumulate(x, _scatter_taps(share, stride, length))
 
     return make_from_op(out_data, (x,), bw)
 

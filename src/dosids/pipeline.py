@@ -86,25 +86,38 @@ class PipelineConfig:
         self.gan.validate()
         self.aso.validate()
         if self.classifier_overrides is not None:
+            if not self.skip_tune:
+                raise ValueError("classifier.* applies only with tune.skip or --skip-tune")
             self.classifier_overrides.validate()
 
 
+def _owner(cfg: PipelineConfig, field_path: str):
+    """(holder, name) of a field path such as "seed" or "gan.epochs"."""
+    parent, _, name = field_path.rpartition(".")
+    return (getattr(cfg, parent) if parent else cfg), name
+
+
+# preset -> {field path: value}. Desk: minutes-scale settings. Paper: the
+# defaults are full depth already, bar the GAN epochs.
+PRESETS = {
+    "desk": {"subsample": 5000, "extractor_blocks": 4, "gan.epochs": 30,
+             "aso.population": 10, "aso.iterations": 20, "proxy_epochs": 3},
+    "paper": {"gan.epochs": 200},
+}
+
+
 def apply_preset(cfg: PipelineConfig, preset: str) -> PipelineConfig:
-    """Desk: minutes-scale settings. Paper: full-depth settings."""
-    if preset == "desk":
-        return replace(cfg,
-                       subsample=5000 if cfg.subsample is None else min(cfg.subsample, 5000),
-                       extractor_blocks=4,
-                       gan=replace(cfg.gan, epochs=30),
-                       aso=replace(cfg.aso, population=10, iterations=20),
-                       proxy_epochs=3)
-    if preset == "paper":
-        return replace(cfg,
-                       extractor_blocks=16,
-                       gan=replace(cfg.gan, epochs=200),
-                       aso=replace(cfg.aso, population=20, iterations=30),
-                       proxy_epochs=5)
-    raise ValueError(f"unknown preset {preset!r} (expected 'desk' or 'paper')")
+    """A copy of `cfg` with the preset's value in each field it names that
+    still holds PipelineConfig()'s value: a value the config sets wins."""
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r} (expected 'desk' or 'paper')")
+    cfg = replace(cfg, gan=replace(cfg.gan), aso=replace(cfg.aso))
+    default = PipelineConfig()
+    for field_path, value in PRESETS[preset].items():
+        owner, name = _owner(cfg, field_path)
+        if getattr(owner, name) == getattr(*_owner(default, field_path)):
+            setattr(owner, name, value)
+    return cfg
 
 
 # ---- config file ------------------------------------------------------------
@@ -173,8 +186,7 @@ def config_from_file(path) -> PipelineConfig:
     for key, v in parse_config_file(path).items():
         if key in CONFIG_KEYS:
             field_path, parse = CONFIG_KEYS[key]
-            parent, _, name = field_path.rpartition(".")
-            setattr(getattr(cfg, parent) if parent else cfg, name, parse(v))
+            setattr(*_owner(cfg, field_path), parse(v))
         elif key.startswith("augment.target."):
             cfg.augment_targets[key[len("augment.target."):]] = int(v)
         elif key.startswith("classifier."):

@@ -133,7 +133,7 @@ def train_feature_extractor(f: FeatureExtractor, train_ds, epochs: int, lr: floa
     return f
 
 
-def extract_features(f: FeatureExtractor, d, batch_size: int = 256) -> np.ndarray:
+def extract_features(f: FeatureExtractor, d, batch_size: int = ng.EVAL_BATCH) -> np.ndarray:
     """Eval-mode forward over all rows; [rows, feature_dim], order kept."""
     if not f.frozen:
         raise ValueError("freeze the extractor (train_feature_extractor) first")

@@ -9,7 +9,7 @@ import pytest
 from dosids import ndgrad as ng
 from dosids.alexclf import (AlexNetClassifier, Hyperparameters, build_classifier,
                             predict, train_classifier)
-from dosids.ndgrad import Tensor, grad_check
+from dosids.ndgrad import Tensor, grad_check, ops
 
 
 def toy_features(seed=0, n_per_class=80, n_classes=3, dim=16, sigma=0.03):
@@ -28,12 +28,15 @@ def quick_hp(**kw):
     return Hyperparameters(**defaults)
 
 
-def test_layer_census():
+def test_layer_census(monkeypatch):
     clf = build_classifier(16, 10, seed=0)
     assert len(clf.convs) == 3 and all(isinstance(c, ng.Conv1d) for c in clf.convs)
     assert clf.pools == [(2, 2), (2, 2), (2, 2)]
-    assert isinstance(clf.lrn, ng.LocalResponseNorm)
     assert clf.flat_dim == 64 * 2
+    lrn_calls = []
+    monkeypatch.setattr(ng, "lrn", lambda h: lrn_calls.append(h.shape) or ops.lrn(h))
+    clf.logits(Tensor(np.zeros((3, 1, 16))), train=False)
+    assert lrn_calls == [(3, 32, 8), (3, 64, 4)]    # after the first two pools
 
 
 def test_softmax_width_matches_classes():

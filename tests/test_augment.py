@@ -73,6 +73,28 @@ def test_losses_finite_at_extremes():
     assert np.isfinite(float(discriminator_loss(zero, one).data))
 
 
+
+def test_loss_gradchecks():
+    """Finite differences through clip, log, negation and 1 - p."""
+    rng = np.random.default_rng(41)
+    real = ng.Tensor(rng.uniform(0.05, 0.95, 6), requires_grad=True)
+    fake = ng.Tensor(rng.uniform(0.05, 0.95, 6), requires_grad=True)
+    assert ng.grad_check(lambda: generator_loss(fake), [fake]) < 1e-6
+    assert ng.grad_check(lambda: discriminator_loss(real, fake), [real, fake]) < 1e-6
+
+
+def test_losses_zero_gradient_where_clip_binds():
+    """D(G(z)) = 0 and D(x) = 0 clip at the floor, and so does 1 - D(G(z))
+    at D(G(z)) = 1: those entries get exactly zero gradient."""
+    fake = ng.Tensor(np.array([0.0, 0.5]), requires_grad=True)
+    generator_loss(fake).backward()
+    assert fake.grad[0] == 0.0 and fake.grad[1] == -1.0
+    real = ng.Tensor(np.array([0.0, 0.5]), requires_grad=True)
+    fake = ng.Tensor(np.array([1.0, 0.5]), requires_grad=True)
+    discriminator_loss(real, fake).backward()
+    assert real.grad[0] == 0.0 and real.grad[1] == -1.0
+    assert fake.grad[0] == 0.0 and fake.grad[1] == 1.0
+
 # ---- forward contracts ----------------------------------------------------------
 
 def test_generator_output_range_and_shape():

@@ -139,6 +139,79 @@ def test_conv_weight_grad_matches_tensordot(transpose):
     assert cases >= 50
 
 
+def reference_scatter(op, x, w, g, stride, padding):
+    """The per-op tap loops that _scatter_taps replaced, each as its op ran
+    it: conv1d's input gradient, conv_transpose1d's output and its input
+    gradient (g zero-filled to full length by hand), and avg_pool1d's
+    gradient, where `w` is the window. Returns the arrays in that order."""
+    if op == "avg_pool1d":
+        t = (x.shape[2] - w) // stride + 1
+        dx = np.zeros_like(x)
+        share = g / w
+        for i in range(w):
+            dx[:, :, i:i + stride * (t - 1) + 1:stride] += share
+        return (dx,)
+    b, c_in, length = x.shape
+    if op == "conv1d":
+        c_out, _, k = w.shape
+        t = g.shape[2]
+        dpatches = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(b, c_in, k, t)
+        dxp = np.zeros((b, c_in, length + 2 * padding))
+        for i in range(k):
+            dxp[:, :, i:i + stride * (t - 1) + 1:stride] += dpatches[:, :, i, :]
+        return (dxp[:, :, padding:padding + length] if padding else dxp,)
+    _, c_out, k = w.shape
+    w2 = w.reshape(c_in, c_out * k)
+    full = (length - 1) * stride + k
+    out_len = full - 2 * padding
+    contrib = np.matmul(w2.T, x).reshape(b, c_out, k, length)
+    out_full = np.zeros((b, c_out, full), dtype=np.float64)
+    for i in range(k):
+        out_full[:, :, i:i + stride * (length - 1) + 1:stride] += contrib[:, :, i, :]
+    g_full = np.zeros((b, c_out, full), dtype=np.float64)
+    g_full[:, :, padding:padding + out_len] = g
+    gcols = ops._sliding_patches(g_full, k, stride).reshape(b, c_out * k, length)
+    return out_full[:, :, padding:padding + out_len].copy(), np.matmul(w2, gcols)
+
+
+@pytest.mark.parametrize("op", ["conv1d", "conv_transpose1d", "avg_pool1d"])
+def test_scatter_taps_matches_per_op_loops(op):
+    """Byte for byte, sign of zero included, over strides 1-3, padding 0-3
+    and kernels (or windows) 1-5, batch 1 among the shapes."""
+    rng = RNG(58)
+    cases = 0
+    for stride in (1, 2, 3):
+        for padding in range(4) if op != "avg_pool1d" else (0,):
+            for k in range(1, 6):
+                for b in (1, 3):
+                    c_in, c_out = rng.integers(1, 5, size=2)
+                    length = int(rng.integers(k, 12))
+                    x = rng.normal(size=(b, c_in, length))
+                    x[x > 1.0] = -0.0
+                    xt = Tensor(x, requires_grad=True)
+                    if op == "avg_pool1d":
+                        w = k
+                        out = ng.avg_pool1d(xt, k, stride)
+                    elif op == "conv1d":
+                        w = rng.normal(size=(c_out, c_in, k))
+                        out = ng.conv1d(xt, Tensor(w), stride, padding)
+                    else:
+                        w = rng.normal(size=(c_in, c_out, k))
+                        try:
+                            out = ng.conv_transpose1d(xt, Tensor(w), stride, padding)
+                        except ValueError:          # padding swallows the output
+                            continue
+                    g = rng.normal(size=out.shape)
+                    g[g > 1.0] = -0.0
+                    out.backward(g)
+                    got = (xt.grad,) if op != "conv_transpose1d" else (out.data, xt.grad)
+                    want = reference_scatter(op, x, w, g, stride, padding)
+                    for a, r in zip(got, want):
+                        assert a.tobytes() == r.tobytes(), (op, stride, padding, k, b)
+                    cases += 1
+    assert cases >= 25
+
+
 def reference_batch_norm(x, gam, bet, mean, var, train, g, eps=1e-5, momentum=0.1):
     """The np.mean / np.var batch norm that the fused statistics replaced:
     output, running mean and variance, and the x, gamma, beta gradients."""
@@ -288,7 +361,7 @@ def test_lrn_gradcheck():
 def test_activation_values():
     x = Tensor(np.array([-2.0, -1.0, 0.0, 2.0]))
     assert np.array_equal(ng.relu(x).data, [0.0, 0.0, 0.0, 2.0])
-    assert np.allclose(ng.leaky_relu(x, 0.2).data, [-0.4, -0.2, 0.0, 2.0])
+    assert np.allclose(ng.leaky_relu(x).data, [-0.4, -0.2, 0.0, 2.0])
     assert ng.tanh(Tensor(np.zeros(1))).data[0] == 0.0
     assert np.isclose(ng.sigmoid(Tensor(np.zeros(1))).data[0], 0.5)
 

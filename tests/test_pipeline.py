@@ -5,6 +5,7 @@ import dataclasses
 import json
 import logging
 import multiprocessing
+import os
 import re
 import shutil
 import subprocess
@@ -20,7 +21,7 @@ from dosids.alexclf import HYPERPARAMETER_TYPES, Hyperparameters
 from dosids.aso import AsoConfig, TuneResult
 from dosids.augment import GanConfig
 from dosids.checkpoint import file_digest, load_arrays, save_arrays
-from dosids.cli import main as cli_main
+from dosids.cli import _config_from_args, build_parser, main as cli_main
 from dosids.seeding import substream_seed
 from conftest import cluster_dataset
 
@@ -646,6 +647,40 @@ def test_cli_out_of_range_setting_is_a_config_error(tmp_path, capsys, setting):
     assert not (tmp_path / "out").exists()
 
 
+def cli_config(*argv):
+    return _config_from_args(build_parser().parse_args(["run", *map(str, argv)]))
+
+
+def test_cli_preset_keeps_settings_the_config_sets(tmp_path, capsys):
+    """A preset fills only the fields the config leaves at their defaults:
+    an out-of-range value it names is refused, not overwritten, and an
+    in-range one is kept."""
+    cfg_path = tmp_path / "cfg.txt"
+    text = f"aso.population = 6\ngan.epochs = 7\nrun.out = {tmp_path / 'out'}\n"
+    cfg_path.write_text(text + "extractor.blocks = 0\n")
+    assert cli_main(["run", "--config", str(cfg_path), "--preset", "desk"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    cfg_path.write_text(text + "extractor.blocks = 2\n")
+    cfg = cli_config("--config", cfg_path, "--preset", "desk")
+    assert (cfg.aso.population, cfg.extractor_blocks, cfg.gan.epochs) == (6, 2, 7)
+    assert (cfg.subsample, cfg.aso.iterations, cfg.proxy_epochs) == (5000, 20, 3)
+    cfg_path.write_text("data.subsample = 8000\n")
+    assert cli_config("--config", cfg_path, "--preset", "desk").subsample == 8000
+
+
+def test_classifier_overrides_without_skip_tune_are_a_config_error(tmp_path, capsys):
+    """The tune stage reads classifier.* only when tuning is skipped."""
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(f"classifier.epochs = 5\nrun.out = {tmp_path / 'out'}\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "tune.skip" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert cli_config("--config", cfg_path, "--skip-tune").classifier_overrides.epochs == 5
+    cfg_path.write_text("classifier.epochs = 5\ntune.skip = true\n")
+    assert cli_config("--config", cfg_path).classifier_overrides.epochs == 5
+
+
 def test_cli_seed_override(tiny_run):
     cfg_path, tmp_path = tiny_run
     assert cli_main(["ingest", "--config", str(cfg_path), "--seed", "99",
@@ -658,7 +693,9 @@ def test_cli_seed_override(tiny_run):
 
 
 def test_console_script_help():
+    src = str(Path(__file__).resolve().parent.parent / "src")
     result = subprocess.run([sys.executable, "-m", "dosids.cli", "--help"],
+                            env=dict(os.environ, PYTHONPATH=src),
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "run" in result.stdout

@@ -82,8 +82,8 @@ def compute_masses(fitnesses) -> np.ndarray:
     fit = np.asarray(fitnesses, dtype=np.float64)
     if fit.size == 0:
         raise ValueError("no atoms")
-    if np.isnan(fit).any():
-        raise ValueError("NaN fitness reached mass computation")
+    if not np.isfinite(fit).all():
+        raise ValueError("non-finite fitness reached mass computation")
     best, worst = fit.min(), fit.max()
     if worst == best:
         scaled = np.ones_like(fit)
@@ -154,17 +154,18 @@ def k_best_count(nt: int, n: int, mt: int) -> int:
 
 def _evaluate(objective, value, position, space: SearchSpace, cfg: AsoConfig,
               nt: int, i: int) -> tuple[float, np.ndarray]:
-    """Accept one objective value; a NaN resamples the atom uniformly once."""
-    value = float(value)
-    if not math.isnan(value):
-        return value, position
+    """Accept one objective value; a non-finite one (NaN or +-inf) resamples
+    the atom uniformly once."""
+    first = float(value)
+    if math.isfinite(first):
+        return first, position
     rng_resample = substream(cfg.seed, "resample", nt, i)
     resampled = rng_resample.uniform(space.lower, space.upper)
     value = float(objective(resampled))
-    if math.isnan(value):
-        raise RuntimeError("objective returned NaN for the resampled atom as well; "
+    if not math.isfinite(value):
+        raise RuntimeError(f"objective returned {value} for the resampled atom as well; "
                            "cannot continue")
-    log.warning("objective returned NaN; atom resampled")
+    log.warning("objective returned %s; atom resampled", first)
     return value, resampled
 
 
@@ -200,8 +201,9 @@ def optimize(objective, space: SearchSpace, cfg: AsoConfig, workers: int = 1) ->
 
     Each generation (the initial population, then every iteration's new
     positions) is evaluated as one batch, on `workers` processes when
-    more than one. NaN resampling and the best-so-far update then run in
-    atom order, so the result does not depend on `workers`.
+    more than one. Resampling after a non-finite value and the best-so-far
+    update then run in atom order, so the result does not depend on
+    `workers`.
     """
     cfg.validate()
     n, mt, d = cfg.population, cfg.iterations, space.dims

@@ -24,6 +24,8 @@ from .seeding import substream, substream_seed
 log = logging.getLogger(__name__)
 
 MIN_GAN_ROWS = 4
+NOISE_DIM = 32        # generator input width
+LEARNING_RATE = 0.1   # SGD rate of both networks
 PROB_FLOOR = 1e-12
 JITTER_SIGMA = 0.01
 GENERATOR_CHANNELS = (32, 16, 8)
@@ -32,21 +34,15 @@ DISCRIMINATOR_CHANNELS = (8, 16)
 
 @dataclass
 class GanConfig:
-    noise_dim: int = 32
-    learning_rate: float = 0.1
     batch_size: int = 32
     epochs: int = 60
     seed: int = 0
 
     def validate(self):
-        if self.noise_dim < 1:
-            raise ValueError("noise_dim must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
 
 
 def _conv_kernel(length: int) -> int:
@@ -59,14 +55,14 @@ def _conv_out(length: int, kernel: int) -> int:
 
 
 class Generator(ng.Module):
-    """noise [B, noise_dim] -> rows [B, n_features] in (0, 1)."""
+    """noise [B, NOISE_DIM] -> rows [B, n_features] in (0, 1)."""
 
-    def __init__(self, n_features: int, cfg: GanConfig, rng):
+    def __init__(self, n_features: int, rng):
         c0, c1, c2 = GENERATOR_CHANNELS
         self.n_features = n_features
         self.base_len = max(1, math.ceil(n_features / 4))
         self.base_channels = c0
-        self.stem = ng.Dense(cfg.noise_dim, c0 * self.base_len, rng=rng)
+        self.stem = ng.Dense(NOISE_DIM, c0 * self.base_len, rng=rng)
         self.bn0 = ng.BatchNorm1d(c0)
         self.up1 = ng.ConvTranspose1d(c0, c1, 4, stride=2, padding=1, bias=False, rng=rng)
         self.bn1 = ng.BatchNorm1d(c1)
@@ -116,7 +112,6 @@ class Discriminator(ng.Module):
 class GanPair:
     generator: Generator
     discriminator: Discriminator
-    config: GanConfig
     n_features: int
     loss_history: list[tuple[float, float]] = field(default_factory=list)  # (gen, disc)
 
@@ -146,11 +141,11 @@ def train_dcgan(rows: np.ndarray, cfg: GanConfig) -> GanPair:
     batch = cfg.batch_size if n >= 2 * cfg.batch_size else max(2, n // 2)
 
     rng_init = substream(cfg.seed, "gan-init")
-    gen = Generator(n_features, cfg, rng_init)
+    gen = Generator(n_features, rng_init)
     disc = Discriminator(n_features, rng_init)
-    pair = GanPair(generator=gen, discriminator=disc, config=cfg, n_features=n_features)
-    opt_g = ng.SGD(gen.parameters(), cfg.learning_rate)
-    opt_d = ng.SGD(disc.parameters(), cfg.learning_rate)
+    pair = GanPair(generator=gen, discriminator=disc, n_features=n_features)
+    opt_g = ng.SGD(gen.parameters(), LEARNING_RATE)
+    opt_d = ng.SGD(disc.parameters(), LEARNING_RATE)
 
     rng = substream(cfg.seed, "gan-train")
     for _ in range(cfg.epochs):
@@ -158,7 +153,7 @@ def train_dcgan(rows: np.ndarray, cfg: GanConfig) -> GanPair:
         g_losses, d_losses = [], []
         for start in range(0, n - batch + 1, batch):
             xb = ng.Tensor(rows[perm[start:start + batch]])
-            z = ng.Tensor(rng.standard_normal((batch, cfg.noise_dim)))
+            z = ng.Tensor(rng.standard_normal((batch, NOISE_DIM)))
 
             fake = gen(z, train=True)
             d_real = disc(xb, train=True)
@@ -183,7 +178,7 @@ def sample_rows(pair: GanPair, count: int, rng: np.random.Generator) -> np.ndarr
     """Draw `count` synthetic rows from the trained generator (eval mode)."""
     if count <= 0:
         return np.empty((0, pair.n_features), dtype=np.float64)
-    z = ng.Tensor(rng.standard_normal((count, pair.config.noise_dim)))
+    z = ng.Tensor(rng.standard_normal((count, NOISE_DIM)))
     with ng.no_grad():
         out = pair.generator(z, train=False).data
     return np.clip(out, 0.0, 1.0)
@@ -217,19 +212,9 @@ def median_targets(d: Dataset) -> dict[int, int]:
     return {c: median for c in range(len(counts)) if counts[c] < median}
 
 
-def _normalize_targets(d: Dataset, targets: dict) -> dict[int, int]:
-    resolved: dict[int, int] = {}
-    for key, count in targets.items():
-        if isinstance(key, str):
-            if key not in d.class_names:
-                raise ValueError(f"unknown class name {key!r}")
-            key = d.class_names.index(key)
-        resolved[int(key)] = int(count)
-    return resolved
-
-
 def oversample_minorities(d: Dataset, targets: dict, cfg: GanConfig) -> Dataset:
-    """Append generated rows until each targeted class reaches its count.
+    """Append generated rows until each targeted class, keyed by class
+    index, reaches its count.
 
     Original rows stay untouched, in order, as a prefix; synthetic rows
     append in ascending class order. Per-class seeds derive from
@@ -237,7 +222,11 @@ def oversample_minorities(d: Dataset, targets: dict, cfg: GanConfig) -> Dataset:
     min(GAN classes, available CPUs) processes; the result does not
     depend on that count.
     """
-    targets = _normalize_targets(d, targets)
+    outside = [cls for cls in targets if not 0 <= cls < len(d.class_names)]
+    if outside:
+        raise ValueError(f"target class indices {outside} are outside "
+                         f"[0, {len(d.class_names)})")
+    targets = {int(cls): int(count) for cls, count in targets.items()}
     counts = d.class_counts()
     for cls, target in targets.items():
         if target < counts[cls]:

@@ -6,6 +6,8 @@ accuracy differs between classes. Zero-denominator precision/recall/F1
 are defined as 0. Macro averages are unweighted class means.
 """
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -105,14 +107,14 @@ def render_report(report: MetricsReport, fmt: str = "table") -> str:
     if fmt == "json":
         return json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if fmt == "csv":
-        lines = ["class,f1,recall,precision,accuracy"]
-        for name in report.class_names:
-            row = report.per_class[name]
-            lines.append(f"{name},{row['f1']!r},{row['recall']!r},"
-                         f"{row['precision']!r},{row['accuracy']!r}")
-        m = report.macro
-        lines.append(f"macro,{m['f1']!r},{m['recall']!r},{m['precision']!r},{m['accuracy']!r}")
-        return "\n".join(lines) + "\n"
+        columns = ("f1", "recall", "precision", "accuracy")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("class",) + columns)
+        rows = [(name, report.per_class[name]) for name in report.class_names]
+        for name, row in rows + [("macro", report.macro)]:
+            writer.writerow([name] + [repr(row[k]) for k in columns])
+        return buf.getvalue()
     if fmt == "table":
         width = max([len(n) for n in report.class_names] + [len("class"), len("macro")])
         header = f"{'class':<{width}}  {'f1':>9}  {'recall':>9}  {'precision':>9}  {'accuracy':>9}"

@@ -9,6 +9,7 @@ seed through named substreams; re-running a config reproduces every
 emitted number.
 """
 
+import csv
 import hashlib
 import json
 import logging
@@ -20,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, augment as aug, flowdata as fd
+from . import __version__, augment as aug, flowdata as fd, resfeat
 from .alexclf import (HYPERPARAMETER_TYPES, Hyperparameters, build_classifier, predict,
                       train_classifier)
 from .aso import AsoConfig, tune_hyperparameters
@@ -32,6 +33,8 @@ from .resfeat import build_feature_extractor, extract_features, train_feature_ex
 from .seeding import substream_seed
 
 log = logging.getLogger(__name__)
+
+TRAIN_FRACTION = 0.7    # stratified train share of the ingested rows
 
 
 class StageError(Exception):
@@ -47,15 +50,11 @@ class PipelineConfig:
     label_column: str = "label"
     socket_columns: list[str] = field(default_factory=lambda: list(fd.DEFAULT_SOCKET_COLUMNS))
     subsample: int | None = None
-    train_fraction: float = 0.7
     augment_policy: str = "median"          # "median" or "none"
-    augment_targets: dict[str, int] = field(default_factory=dict)
     gan: GanConfig = field(default_factory=GanConfig)
     extractor_blocks: int = 16
     extractor_base_channels: int = 16
-    extractor_feature_dim: int | None = None
     extractor_epochs: int = 10
-    extractor_lr: float = 0.01
     extractor_batch_size: int = 32
     aso: AsoConfig = field(default_factory=lambda: AsoConfig(population=20, iterations=30))
     proxy_epochs: int = 5
@@ -68,21 +67,16 @@ class PipelineConfig:
     emit_synthetic: str | None = None
 
     def validate(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
         if self.augment_policy not in ("median", "none"):
             raise ValueError("augment_policy must be 'median' or 'none'")
         if self.classifier_input not in ("features", "raw"):
             raise ValueError("classifier_input must be 'features' or 'raw'")
         for name, least in (("subsample", 1), ("extractor_blocks", 1),
-                            ("extractor_base_channels", 1), ("extractor_feature_dim", 1),
-                            ("extractor_epochs", 0), ("extractor_batch_size", 1),
-                            ("proxy_epochs", 1)):
+                            ("extractor_base_channels", 1), ("extractor_epochs", 0),
+                            ("extractor_batch_size", 1), ("proxy_epochs", 1)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if self.extractor_lr <= 0:
-            raise ValueError("extractor_lr must be positive")
         self.gan.validate()
         self.aso.validate()
         if self.classifier_overrides is not None:
@@ -150,23 +144,18 @@ def _column_list(v: str) -> list[str]:
 
 
 # dotted config key -> (PipelineConfig field, or "gan."/"aso." sub-field; parser).
-# `augment.target.<class>` and `classifier.<hyperparameter>` are prefix rules.
+# `classifier.<hyperparameter>` is the one prefix rule.
 CONFIG_KEYS = {
     "data.input": ("input_path", str),
     "data.label_column": ("label_column", str),
     "data.socket_columns": ("socket_columns", _column_list),
     "data.subsample": ("subsample", int),
-    "split.train_fraction": ("train_fraction", float),
     "augment.policy": ("augment_policy", str),
-    "gan.noise_dim": ("gan.noise_dim", int),
-    "gan.learning_rate": ("gan.learning_rate", float),
     "gan.batch_size": ("gan.batch_size", int),
     "gan.epochs": ("gan.epochs", int),
     "extractor.blocks": ("extractor_blocks", int),
     "extractor.base_channels": ("extractor_base_channels", int),
-    "extractor.feature_dim": ("extractor_feature_dim", int),
     "extractor.epochs": ("extractor_epochs", int),
-    "extractor.learning_rate": ("extractor_lr", float),
     "extractor.batch_size": ("extractor_batch_size", int),
     "aso.population": ("aso.population", int),
     "aso.iterations": ("aso.iterations", int),
@@ -187,8 +176,6 @@ def config_from_file(path) -> PipelineConfig:
         if key in CONFIG_KEYS:
             field_path, parse = CONFIG_KEYS[key]
             setattr(*_owner(cfg, field_path), parse(v))
-        elif key.startswith("augment.target."):
-            cfg.augment_targets[key[len("augment.target."):]] = int(v)
         elif key.startswith("classifier."):
             overrides[key[len("classifier."):]] = v
         else:
@@ -259,7 +246,7 @@ def stage_ingest(cfg: PipelineConfig, out: str) -> dict:
     raw = fd.drop_socket_and_constant_features(raw, cfg.socket_columns)
     if cfg.subsample is not None:
         raw = fd.subsample(raw, cfg.subsample, substream_seed(cfg.seed, "subsample"))
-    train, test = fd.stratified_split(raw, cfg.train_fraction,
+    train, test = fd.stratified_split(raw, TRAIN_FRACTION,
                                       substream_seed(cfg.seed, "split"))
     categories = fd.fit_categories(train)
     train = fd.one_hot_encode(train, categories)
@@ -294,11 +281,7 @@ def stage_augment(cfg: PipelineConfig, out: str) -> dict:
     train = _load_dataset(cfg, "ingest", "train.bin")
     before = _census(train.labels, train.class_names)
 
-    targets: dict = {}
-    if cfg.augment_policy == "median":
-        targets.update(aug.median_targets(train))
-    for name, count in cfg.augment_targets.items():
-        targets[name] = count
+    targets = aug.median_targets(train) if cfg.augment_policy == "median" else {}
     gan_cfg = replace(cfg.gan, seed=substream_seed(cfg.seed, "gan"))
     augmented = aug.oversample_minorities(train, targets, gan_cfg)
     after = _census(augmented.labels, augmented.class_names)
@@ -307,17 +290,17 @@ def stage_augment(cfg: PipelineConfig, out: str) -> dict:
                  augmented.features, augmented.labels)
     _write_json(os.path.join(out, "augment.json"), {
         "census_before": before, "census_after": after,
-        "targets": {train.class_names[c] if isinstance(c, int) else c: int(n)
-                    for c, n in targets.items()},
+        "targets": {train.class_names[c]: n for c, n in targets.items()},
     })
     if cfg.emit_synthetic:
         synth = augmented.features[train.n_rows:]
         labels = augmented.labels[train.n_rows:]
-        with open(cfg.emit_synthetic, "w", encoding="utf-8") as fh:
-            fh.write(",".join(train.feature_names() + ["label", "synthetic"]) + "\n")
+        with open(cfg.emit_synthetic, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(train.feature_names() + ["label", "synthetic"])
             for row, lab in zip(synth, labels):
-                fh.write(",".join(repr(float(v)) for v in row)
-                         + f",{train.class_names[lab]},1\n")
+                writer.writerow([repr(float(v)) for v in row]
+                                + [train.class_names[lab], "1"])
     return {"census_before": before, "census_after": after}
 
 
@@ -335,10 +318,9 @@ def stage_extract(cfg: PipelineConfig, out: str) -> dict:
     else:
         f = build_feature_extractor(train.n_features, blocks=cfg.extractor_blocks,
                                     base_channels=cfg.extractor_base_channels,
-                                    feature_dim=cfg.extractor_feature_dim,
                                     seed=substream_seed(cfg.seed, "extractor"))
         f = train_feature_extractor(f, train, epochs=cfg.extractor_epochs,
-                                    lr=cfg.extractor_lr,
+                                    lr=resfeat.LEARNING_RATE,
                                     seed=substream_seed(cfg.seed, "extractor"),
                                     batch_size=cfg.extractor_batch_size)
         feats_train = extract_features(f, train)
@@ -437,10 +419,11 @@ def stage_evaluate(cfg: PipelineConfig, out: str) -> dict:
         fh.write("\n")
     with open(os.path.join(out, "per_class.csv"), "w", encoding="utf-8") as fh:
         fh.write(render_report(report, "csv"))
-    with open(os.path.join(out, "confusion.csv"), "w", encoding="utf-8") as fh:
-        fh.write("," + ",".join(class_names) + "\n")
+    with open(os.path.join(out, "confusion.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([""] + class_names)
         for i, name in enumerate(class_names):
-            fh.write(name + "," + ",".join(str(v) for v in cm.counts[i]) + "\n")
+            writer.writerow([name] + [str(v) for v in cm.counts[i]])
     return {"overall_accuracy": report.overall_accuracy,
             "macro_f1": report.macro["f1"]}
 
@@ -463,13 +446,11 @@ class Stage(NamedTuple):
 
 STAGE_TABLE = {
     "ingest": Stage(stage_ingest, (), ("input_path", "label_column", "socket_columns",
-                                       "subsample", "train_fraction", "seed")),
-    "augment": Stage(stage_augment, ("ingest",),
-                     ("augment_policy", "augment_targets", "gan", "seed")),
+                                       "subsample", "seed")),
+    "augment": Stage(stage_augment, ("ingest",), ("augment_policy", "gan", "seed")),
     "extract": Stage(stage_extract, ("ingest", "augment"),
                      ("classifier_input", "extractor_blocks", "extractor_base_channels",
-                      "extractor_feature_dim", "extractor_epochs", "extractor_lr",
-                      "extractor_batch_size", "seed")),
+                      "extractor_epochs", "extractor_batch_size", "seed")),
     "tune": Stage(stage_tune, ("ingest", "extract"),
                   ("skip_tune", "classifier_overrides", "aso", "proxy_epochs", "seed")),
     "train": Stage(stage_train, ("ingest", "extract", "tune"), ("seed",)),
@@ -562,12 +543,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         stage_seconds[stage] = time.perf_counter() - t0
         log.info("stage %s done in %.2fs", stage, stage_seconds[stage])
 
-    digests = {}
-    for root, _, files in os.walk(cfg.out_dir):
-        for name in sorted(files):
-            if name.endswith((".bin", ".ckpt")):
-                path = os.path.join(root, name)
-                digests[os.path.relpath(path, cfg.out_dir)] = file_digest(path)
+    # only what the stages wrote: other files under out_dir are not this run's
+    digests = {f"{stage}/{name}": file_digest(_path(cfg, stage, name))
+               for stage in STAGES for name in sorted(os.listdir(_path(cfg, stage)))
+               if name.endswith((".bin", ".ckpt"))}
     manifest = {
         "config": dict(asdict(cfg), tool_version=__version__),
         "stage_seconds": stage_seconds,

@@ -20,6 +20,7 @@ log = logging.getLogger(__name__)
 
 DROPOUT_RATE = 0.2    # on the pooled vector while training
 MOMENTUM = 0.9        # SGD momentum of the supervised pretraining
+LEARNING_RATE = 0.01  # SGD rate of the pipeline's pretraining
 
 
 class ResidualBlock(ng.Module):
@@ -46,10 +47,11 @@ class ResidualBlock(ng.Module):
 
 
 class FeatureExtractor(ng.Module):
-    """Frozen after training; extraction is then a pure function."""
+    """Frozen after training; extraction is then a pure function. The
+    feature vector is as wide as the final block."""
 
     def __init__(self, input_features: int, blocks: int = 16, base_channels: int = 16,
-                 feature_dim: int | None = None, seed: int = 0):
+                 seed: int = 0):
         if blocks < 1:
             raise ValueError("need at least one residual block")
         if input_features < 1:
@@ -75,13 +77,7 @@ class FeatureExtractor(ng.Module):
             length = (length - 1) // stride + 1
             c_in = c_out
 
-        self.trunk_dim = c_in
-        if feature_dim is not None and feature_dim != self.trunk_dim:
-            self.project = ng.Dense(self.trunk_dim, feature_dim, rng=rng)
-            self.feature_dim = feature_dim
-        else:
-            self.project = None
-            self.feature_dim = self.trunk_dim
+        self.feature_dim = c_in
 
     def forward(self, x: ng.Tensor, train: bool,
                 rng: np.random.Generator | None = None) -> ng.Tensor:
@@ -92,11 +88,9 @@ class FeatureExtractor(ng.Module):
         h = ng.relu(self.bn_stem(self.stem(x), train))
         for block in self.blocks:
             h = block(h, train)
-        pooled = ng.global_avg_pool1d(h).reshape(h.shape[0], self.trunk_dim)
+        pooled = ng.global_avg_pool1d(h).reshape(h.shape[0], self.feature_dim)
         if train and rng is not None:
             pooled = ng.dropout(pooled, DROPOUT_RATE, train, rng)
-        if self.project is not None:
-            pooled = self.project(pooled)
         return pooled
 
 

@@ -53,6 +53,12 @@ def test_masses_reject_nan():
         compute_masses([1.0, np.nan])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_masses_reject_infinite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        compute_masses([1.0, bad, 2.0])
+
+
 def test_depth_function_spot_value():
     cfg = AsoConfig(depth_weight=50.0, iterations=100)
     assert np.isclose(depth_function(1, cfg), 50.0 * np.exp(-0.2))
@@ -359,6 +365,28 @@ def test_aso_beats_random_search_on_sphere():
 def _nan_on_ridge(x):
     """Sphere with a NaN stripe, so that some atoms need resampling."""
     return float("nan") if x[0] > 0.9 else float((x ** 2).sum())
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_optimize_treats_infinite_fitness_as_nan(bad):
+    """An infinite value resamples the atom exactly as NaN does, so no
+    position the objective sees is ever NaN; a resample that is still
+    infinite stops the search."""
+    space = SearchSpace([-1.0, -1.0], [1.0, 1.0])
+    cfg = AsoConfig(population=6, iterations=10, seed=3)
+    seen = []
+
+    def inf_on_ridge(x):
+        seen.append(x.copy())
+        return bad if x[0] > 0.9 else float((x ** 2).sum())
+
+    result = optimize(inf_on_ridge, space, cfg)
+    reference = optimize(_nan_on_ridge, space, cfg)
+    assert np.isfinite(np.array(seen)).all()
+    assert result.position.tobytes() == reference.position.tobytes()
+    assert result.fitness == reference.fitness and result.trace == reference.trace
+    with pytest.raises(RuntimeError, match="resampled atom"):
+        optimize(lambda x: bad, space, cfg)
 
 
 def test_optimize_same_result_on_one_and_two_workers(caplog):

@@ -100,7 +100,7 @@ def test_losses_zero_gradient_where_clip_binds():
 def test_generator_output_range_and_shape():
     cfg = small_cfg()
     pair = train_dcgan(blob_rows(0, n=24), cfg)
-    z = ng.Tensor(substream(1, "z").standard_normal((8, cfg.noise_dim)))
+    z = ng.Tensor(substream(1, "z").standard_normal((8, augment.NOISE_DIM)))
     out = pair.generator(z, train=False)
     assert out.shape == (8, 10)
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
@@ -109,7 +109,7 @@ def test_generator_output_range_and_shape():
 def test_generator_deterministic():
     cfg = small_cfg()
     pair = train_dcgan(blob_rows(0, n=24), cfg)
-    z = ng.Tensor(substream(2, "z").standard_normal((4, cfg.noise_dim)))
+    z = ng.Tensor(substream(2, "z").standard_normal((4, augment.NOISE_DIM)))
     a = pair.generator(z, train=False).data
     b = pair.generator(z, train=False).data
     assert np.array_equal(a, b)
@@ -210,12 +210,17 @@ def test_oversample_empty_targets_identity():
     assert oversample_minorities(ds, {}, small_cfg()) is ds
 
 
-def test_oversample_accepts_class_names():
-    ds = cluster_dataset(23, [30, 12], n_features=6)
-    out = oversample_minorities(ds, {"c1": 25}, small_cfg())
-    assert out.class_counts()[1] == 25
-    with pytest.raises(ValueError, match="unknown class"):
-        oversample_minorities(ds, {"zz": 25}, small_cfg())
+@pytest.mark.parametrize("cls", [-1, 3])
+def test_oversample_rejects_out_of_range_class(monkeypatch, cls):
+    """Refused with the index named, before any GAN trains."""
+    def no_gan(rows, cfg):
+        raise AssertionError("a GAN trained")
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    monkeypatch.setattr(augment, "train_dcgan", no_gan)
+    ds = cluster_dataset(23, [30, 12, 12], n_features=6)
+    with pytest.raises(ValueError, match=rf"target class indices \[{cls}\] are outside \[0, 3\)"):
+        oversample_minorities(ds, {1: 20, cls: 20}, small_cfg())
 
 
 def test_oversample_rejects_shrinking_target():
@@ -336,8 +341,6 @@ def test_oversample_worker_error_propagates_and_reaps(monkeypatch):
 
 
 def test_gan_config_validation():
-    with pytest.raises(ValueError):
-        GanConfig(noise_dim=0).validate()
     with pytest.raises(ValueError):
         GanConfig(epochs=0).validate()
     with pytest.raises(ValueError):

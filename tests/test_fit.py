@@ -126,10 +126,10 @@ def test_fit_reproduces_the_classifier_loop():
 def test_fit_reproduces_the_extractor_loop():
     ds = cluster_dataset(4, [20, 15, 10], n_features=10, sigma=0.1)
     clipped = []
-    ref = build_feature_extractor(10, blocks=3, feature_dim=6, seed=5)
+    ref = build_feature_extractor(10, blocks=3, seed=5)
     ref_history = reference_train_extractor(ref, ds.features, ds.labels, epochs=3,
                                             lr=0.5, seed=6, batch_size=8, clipped=clipped)
-    f = train_feature_extractor(build_feature_extractor(10, blocks=3, feature_dim=6, seed=5),
+    f = train_feature_extractor(build_feature_extractor(10, blocks=3, seed=5),
                                 ds, epochs=3, lr=0.5, seed=6, batch_size=8)
     assert clipped, "the clip never fired; the comparison misses its path"
     assert f.train_history == ref_history

@@ -6,7 +6,8 @@ import pytest
 
 from dosids import ndgrad as ng
 from dosids.alexclf import build_classifier, predict
-from dosids.augment import GanConfig, discriminator_accuracy, sample_rows, train_dcgan
+from dosids.augment import (NOISE_DIM, GanConfig, discriminator_accuracy, sample_rows,
+                            train_dcgan)
 from dosids.resfeat import build_feature_extractor, extract_features
 from dosids.seeding import substream
 
@@ -19,10 +20,10 @@ def build_networks(seed):
     rng = np.random.default_rng(0)
     rows = rng.uniform(0.2, 0.8, (12, 10))
     x = ng.Tensor(rows[:, None, :])
-    f = build_feature_extractor(10, blocks=5, feature_dim=6, seed=seed)
+    f = build_feature_extractor(10, blocks=5, seed=seed)
     f.forward(x, train=True)
     pair = train_dcgan(rows, GanConfig(epochs=1, batch_size=4, seed=seed))
-    z = ng.Tensor(rng.standard_normal((5, pair.config.noise_dim)))
+    z = ng.Tensor(rng.standard_normal((5, NOISE_DIM)))
     return {
         "extractor": (f, lambda m: m.forward(x, train=False)),
         "classifier": (build_classifier(10, 3, seed=seed),
@@ -50,14 +51,14 @@ def test_module_protocol(name):
 
 
 def test_names_are_attribute_paths():
-    f = build_feature_extractor(10, blocks=5, feature_dim=6, seed=0)
+    f = build_feature_extractor(10, blocks=5, seed=0)
     names = [n for n, _ in f.named_parameters()]
     assert names[:3] == ["stem.weight", "bn_stem.gamma", "bn_stem.beta"]
     assert names[3:9] == ["blocks.0.conv1.weight", "blocks.0.bn1.gamma",
                           "blocks.0.bn1.beta", "blocks.0.conv2.weight",
                           "blocks.0.bn2.gamma", "blocks.0.bn2.beta"]
     assert "blocks.4.proj.weight" in names and "blocks.3.proj.weight" not in names
-    assert names[-2:] == ["project.weight", "project.bias"]
+    assert names[-2:] == ["blocks.4.bn_proj.gamma", "blocks.4.bn_proj.beta"]
     buffers = [n for n, _ in f.named_buffers()]
     assert buffers[:2] == ["bn_stem.running.mean", "bn_stem.running.var"]
     assert "blocks.4.bn_proj.running.var" in buffers
@@ -111,7 +112,7 @@ def test_inference_entry_points_build_no_graph(monkeypatch):
     x = ng.Tensor(rows[:, None, :])
     spied = []
 
-    f = build_feature_extractor(10, blocks=5, feature_dim=6, seed=3)
+    f = build_feature_extractor(10, blocks=5, seed=3)
     f.forward(x, train=True)
     f.frozen = True
     expected = f.forward(x, train=False)
@@ -126,7 +127,7 @@ def test_inference_entry_points_build_no_graph(monkeypatch):
     assert predict(clf, rows)[1].tobytes() == expected.tobytes()
 
     pair = train_dcgan(rows, GanConfig(epochs=1, batch_size=4, seed=3))
-    z = ng.Tensor(substream(3, "sample").standard_normal((5, pair.config.noise_dim)))
+    z = ng.Tensor(substream(3, "sample").standard_normal((5, NOISE_DIM)))
     expected = np.clip(pair.generator(z, train=False).data, 0.0, 1.0)
     fake = sample_rows(pair, 12, substream(3, "probe"))
     p_real = pair.discriminator(ng.Tensor(rows), train=False).data

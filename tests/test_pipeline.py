@@ -1,6 +1,7 @@
 """Pipeline contracts: config parsing, the checkpoint container, staged
 artifacts, determinism, stage isolation, and the CLI."""
 
+import csv
 import dataclasses
 import json
 import logging
@@ -47,13 +48,11 @@ CONFIG_TEMPLATE = """
 data.input = {csv}
 data.label_column = attack_cat
 data.socket_columns = src_ip
-split.train_fraction = 0.7
 augment.policy = median
 gan.epochs = 3
 gan.batch_size = 4
 extractor.blocks = 2
 extractor.epochs = 2
-extractor.learning_rate = 0.01
 aso.population = 4
 aso.iterations = 3
 aso.proxy_epochs = 1
@@ -122,14 +121,12 @@ def test_parse_config_round_trip(tmp_path):
         "data.input = a.csv\n"
         "data.label_column = label  # trailing comment\n"
         "\n"
-        "augment.target.worms = 500\n"
         "classifier.momentum = 0.8\n"
         "classifier.epochs = 40\n"
         "tune.skip = true\n"
         "run.seed = 11\n")
     cfg = pl.config_from_file(cfg_path)
     assert cfg.input_path == "a.csv"
-    assert cfg.augment_targets == {"worms": 500}
     assert cfg.skip_tune is True
     assert cfg.classifier_overrides.momentum == 0.8
     assert cfg.classifier_overrides.epochs == 40
@@ -143,17 +140,12 @@ CONFIG_SAMPLES = {
     "data.label_column": ("attack_cat", "attack_cat"),
     "data.socket_columns": ("src_ip, dst_ip,", ["src_ip", "dst_ip"]),
     "data.subsample": ("500", 500),
-    "split.train_fraction": ("0.6", 0.6),
     "augment.policy": ("none", "none"),
-    "gan.noise_dim": ("8", 8),
-    "gan.learning_rate": ("0.05", 0.05),
     "gan.batch_size": ("16", 16),
     "gan.epochs": ("7", 7),
     "extractor.blocks": ("3", 3),
     "extractor.base_channels": ("8", 8),
-    "extractor.feature_dim": ("12", 12),
     "extractor.epochs": ("4", 4),
-    "extractor.learning_rate": ("0.02", 0.02),
     "extractor.batch_size": ("64", 64),
     "aso.population": ("6", 6),
     "aso.iterations": ("9", 9),
@@ -211,8 +203,7 @@ def test_readme_config_table_lists_exactly_the_accepted_keys():
         if not row.startswith("|"):
             break
         listed.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
-    accepted = (set(pl.CONFIG_KEYS) | {"augment.target.<class>"}
-                | {f"classifier.{name}" for name in HYPERPARAMETER_TYPES})
+    accepted = set(pl.CONFIG_KEYS) | {f"classifier.{name}" for name in HYPERPARAMETER_TYPES}
     assert listed == accepted
 
 
@@ -252,7 +243,7 @@ def test_presets():
 
 
 def test_config_validation():
-    cfg = pl.PipelineConfig(train_fraction=1.5)
+    cfg = pl.PipelineConfig(augment_policy="smote")
     with pytest.raises(ValueError):
         cfg.validate()
     cfg = pl.PipelineConfig(classifier_input="pixels")
@@ -267,9 +258,11 @@ def test_full_run_artifacts_and_manifest(tiny_run):
     cfg = pl.config_from_file(cfg_path)
     cfg.skip_tune = True
     cfg.classifier_overrides = None
+    out = tmp_path / "out"
+    (out / "old_run/ingest").mkdir(parents=True)                 # a file no stage wrote
+    (out / "old_run/ingest/train.bin").write_bytes(b"an earlier run's matrix")
     manifest = pl.run_pipeline(cfg)
 
-    out = tmp_path / "out"
     for rel in ("ingest/train.bin", "ingest/test.bin", "ingest/dataset.json",
                 "augment/train_aug.bin", "extract/extractor.ckpt",
                 "extract/train_features.bin", "tune/hyperparams.json",
@@ -279,7 +272,12 @@ def test_full_run_artifacts_and_manifest(tiny_run):
                 "report/report.txt", "manifest.json"):
         assert (out / rel).exists(), rel
 
-    # digests in the manifest match the files on disk
+    # digests in the manifest cover the stages' matrices and checkpoints and
+    # match the files on disk
+    assert sorted(manifest["checkpoint_digests"]) == [
+        "augment/train_aug.bin", "extract/extractor.ckpt", "extract/test_features.bin",
+        "extract/train_features.bin", "ingest/test.bin", "ingest/train.bin",
+        "train/classifier.ckpt"]
     for rel, digest in manifest["checkpoint_digests"].items():
         assert file_digest(out / rel) == digest
     # census reflects the median-count targets exactly
@@ -462,6 +460,39 @@ def test_emit_clean_and_synthetic(tiny_run):
     assert len(synth) - 1 == added
 
 
+def read_csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_tabular_outputs_quote_class_names(tiny_run):
+    """Class names come from the input CSV, so a comma or a quote in one
+    must not split the rows of the evaluate CSVs or the synthetic file."""
+    cfg_path, tmp_path = tiny_run
+    renamed = {"c3": 'say "hi"', "c4": "DoS, Hulk"}     # the two minority classes
+    rows = read_csv_rows(tmp_path / "flows.csv")
+    with open(tmp_path / "flows.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows[:1] + [r[:-1] + [renamed.get(r[-1], r[-1])]
+                                             for r in rows[1:]])
+    cfg = pl.config_from_file(cfg_path)
+    cfg.skip_tune = True
+    cfg.emit_synthetic = str(tmp_path / "synth.csv")
+    pl.run_pipeline(cfg)
+    names = pl._class_names(cfg)
+    assert set(renamed.values()) <= set(names)
+
+    confusion = read_csv_rows(tmp_path / "out/evaluate/confusion.csv")
+    assert confusion[0] == [""] + names
+    assert [r[0] for r in confusion[1:]] == names
+    assert all(len(r) == len(names) + 1 for r in confusion)
+    per_class = read_csv_rows(tmp_path / "out/evaluate/per_class.csv")
+    assert [r[0] for r in per_class] == ["class"] + names + ["macro"]
+    assert all(len(r) == 5 for r in per_class)
+    synth = read_csv_rows(tmp_path / "synth.csv")
+    assert all(len(r) == len(synth[0]) for r in synth)
+    assert {r[-2] for r in synth[1:]} == set(renamed.values())
+
+
 def test_raw_classifier_input_skips_extractor(tiny_run):
     cfg_path, tmp_path = tiny_run
     cfg = pl.config_from_file(cfg_path)
@@ -634,8 +665,7 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 @pytest.mark.parametrize("setting", [
     "extractor.batch_size = 0", "extractor.base_channels = 0", "extractor.blocks = 0",
-    "extractor.feature_dim = 0", "data.subsample = 0", "extractor.epochs = -3",
-    "extractor.learning_rate = -1"])
+    "data.subsample = 0", "extractor.epochs = -3"])
 def test_cli_out_of_range_setting_is_a_config_error(tmp_path, capsys, setting):
     """Refused before any stage runs, not by a stage crashing, or a run
     finishing on a silently wrong setting."""
@@ -644,6 +674,19 @@ def test_cli_out_of_range_setting_is_a_config_error(tmp_path, capsys, setting):
     cfg_path.write_text(CONFIG_TEMPLATE.format(csv=csv, out=tmp_path / "out") + setting + "\n")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["split.train_fraction", "gan.noise_dim", "gan.learning_rate",
+                                 "extractor.feature_dim", "extractor.learning_rate",
+                                 "augment.target.c1"])
+def test_cli_removed_config_key_is_unknown(tmp_path, capsys, key):
+    """Settings that became constants, and the name-keyed augment
+    targets, are refused like any other unknown key."""
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(f"{key} = 1\nrun.out = {tmp_path / 'out'}\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

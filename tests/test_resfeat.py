@@ -61,14 +61,6 @@ def test_build_deterministic():
         assert np.array_equal(pa.data, pb.data)
 
 
-def test_build_custom_feature_dim_projection():
-    f = build_feature_extractor(12, blocks=2, feature_dim=5, seed=0)
-    assert f.feature_dim == 5
-    ds = cluster_dataset(4, [6, 6], n_features=12)
-    f = train_feature_extractor(f, ds, epochs=0, lr=0.01)
-    assert extract_features(f, ds).shape == (12, 5)
-
-
 def test_train_reaches_high_accuracy_on_separable_data():
     ds = cluster_dataset(5, [100, 100], n_features=14, sigma=0.04)
     f = build_feature_extractor(14, blocks=4, seed=5)

@@ -50,7 +50,7 @@ class SearchSpace:
 @dataclass
 class AsoConfig:
     population: int = 20
-    iterations: int = 50
+    iterations: int = 30
     depth_weight: float = 50.0        # interaction force scale
     multiplier_weight: float = 0.2    # constraint force scale
     seed: int = 0

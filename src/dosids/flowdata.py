@@ -359,7 +359,7 @@ def subsample(d: Dataset, max_rows: int, seed: int) -> Dataset:
 def write_clean_csv(d: Dataset, path):
     """Dump the post-preprocessing matrix plus the label as class names."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(d.feature_names() + ["label"])
         for r in range(d.n_rows):
             writer.writerow([repr(float(v)) for v in d.features[r]]

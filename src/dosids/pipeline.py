@@ -9,6 +9,7 @@ seed through named substreams; re-running a config reproduces every
 emitted number.
 """
 
+import copy
 import csv
 import hashlib
 import json
@@ -56,7 +57,7 @@ class PipelineConfig:
     extractor_base_channels: int = 16
     extractor_epochs: int = 10
     extractor_batch_size: int = 32
-    aso: AsoConfig = field(default_factory=lambda: AsoConfig(population=20, iterations=30))
+    aso: AsoConfig = field(default_factory=AsoConfig)
     proxy_epochs: int = 5
     skip_tune: bool = False
     classifier_overrides: Hyperparameters | None = None
@@ -65,6 +66,8 @@ class PipelineConfig:
     out_dir: str = "runs/out"
     emit_clean: str | None = None
     emit_synthetic: str | None = None
+    # the keys config_from_file set, which a preset leaves alone
+    file_keys: tuple[str, ...] = field(default=(), compare=False)
 
     def validate(self):
         if self.augment_policy not in ("median", "none"):
@@ -85,51 +88,7 @@ class PipelineConfig:
             self.classifier_overrides.validate()
 
 
-def _owner(cfg: PipelineConfig, field_path: str):
-    """(holder, name) of a field path such as "seed" or "gan.epochs"."""
-    parent, _, name = field_path.rpartition(".")
-    return (getattr(cfg, parent) if parent else cfg), name
-
-
-# preset -> {field path: value}. Desk: minutes-scale settings. Paper: the
-# defaults are full depth already, bar the GAN epochs.
-PRESETS = {
-    "desk": {"subsample": 5000, "extractor_blocks": 4, "gan.epochs": 30,
-             "aso.population": 10, "aso.iterations": 20, "proxy_epochs": 3},
-    "paper": {"gan.epochs": 200},
-}
-
-
-def apply_preset(cfg: PipelineConfig, preset: str) -> PipelineConfig:
-    """A copy of `cfg` with the preset's value in each field it names that
-    still holds PipelineConfig()'s value: a value the config sets wins."""
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r} (expected 'desk' or 'paper')")
-    cfg = replace(cfg, gan=replace(cfg.gan), aso=replace(cfg.aso))
-    default = PipelineConfig()
-    for field_path, value in PRESETS[preset].items():
-        owner, name = _owner(cfg, field_path)
-        if getattr(owner, name) == getattr(*_owner(default, field_path)):
-            setattr(owner, name, value)
-    return cfg
-
-
 # ---- config file ------------------------------------------------------------
-
-def parse_config_file(path) -> dict[str, str]:
-    """Flat `dotted.key = value` lines; '#' starts a comment."""
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
-
 
 def _as_bool(v: str) -> bool:
     if v.lower() in ("1", "true", "yes", "on"):
@@ -168,26 +127,64 @@ CONFIG_KEYS = {
     "run.out": ("out_dir", str),
 }
 
+# preset -> {config key: value as a file would hold it}. Desk: minutes-scale
+# settings. Paper: the defaults are full depth already, bar the GAN epochs.
+PRESETS = {
+    "desk": {"data.subsample": "5000", "extractor.blocks": "4", "gan.epochs": "30",
+             "aso.population": "10", "aso.iterations": "20", "aso.proxy_epochs": "3"},
+    "paper": {"gan.epochs": "200"},
+}
 
-def config_from_file(path) -> PipelineConfig:
-    cfg = PipelineConfig()
-    overrides: dict[str, str] = {}
-    for key, v in parse_config_file(path).items():
+
+def set_keys(cfg: PipelineConfig, values: dict[str, str]) -> PipelineConfig:
+    """A copy of `cfg` with each dotted key set from its text by the key's
+    parser. `classifier.<hyperparameter>` sets that field of the classifier
+    overrides, which start from the reference Hyperparameters()."""
+    cfg = copy.deepcopy(cfg)
+    for key, text in values.items():
         if key in CONFIG_KEYS:
             field_path, parse = CONFIG_KEYS[key]
-            setattr(*_owner(cfg, field_path), parse(v))
         elif key.startswith("classifier."):
-            overrides[key[len("classifier."):]] = v
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    if overrides:
-        hp = Hyperparameters()
-        for name, v in overrides.items():
+            name = key[len("classifier."):]
             if name not in HYPERPARAMETER_TYPES:
                 raise ValueError(f"unknown classifier override {name!r}")
-            setattr(hp, name, HYPERPARAMETER_TYPES[name](v))
-        cfg.classifier_overrides = hp
+            if cfg.classifier_overrides is None:
+                cfg.classifier_overrides = Hyperparameters()
+            field_path, parse = f"classifier_overrides.{name}", HYPERPARAMETER_TYPES[name]
+        else:
+            raise ValueError(f"unknown config key {key!r}")
+        parent, _, name = field_path.rpartition(".")
+        setattr(getattr(cfg, parent) if parent else cfg, name, parse(text))
     return cfg
+
+
+def config_from_file(path) -> PipelineConfig:
+    """PipelineConfig() with the keys of a flat `dotted.key = value` file set
+    ('#' starts a comment), and those keys recorded in `file_keys`."""
+    values: dict[str, str] = {}
+    lines: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: {key!r} already set on line {lines[key]}")
+            values[key], lines[key] = value, lineno
+    return replace(set_keys(PipelineConfig(), values), file_keys=tuple(values))
+
+
+def apply_preset(cfg: PipelineConfig, preset: str) -> PipelineConfig:
+    """A copy of `cfg` with the preset's value for every key it names except
+    the keys the config file set (`cfg.file_keys`). Code that builds a
+    PipelineConfig itself sets its own values after the preset."""
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r} (expected 'desk' or 'paper')")
+    return set_keys(cfg, {key: text for key, text in PRESETS[preset].items()
+                          if key not in cfg.file_keys})
 
 
 # ---- dataset artifact io -----------------------------------------------------
@@ -457,8 +454,9 @@ STAGE_TABLE = {
     "evaluate": Stage(stage_evaluate, ("ingest", "extract", "train"), ("seed",)),
     "report": Stage(stage_report, ("evaluate",), ()),
 }
-# where outputs go, not what they hold: in no stage's fingerprint
-NOT_FINGERPRINTED = ("out_dir", "emit_clean", "emit_synthetic")
+# where outputs go or where settings came from, not what outputs hold: in no
+# stage's fingerprint
+NOT_FINGERPRINTED = ("out_dir", "emit_clean", "emit_synthetic", "file_keys")
 
 
 def _upstream(cfg: PipelineConfig, stage: str) -> tuple[str, ...]:

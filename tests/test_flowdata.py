@@ -630,3 +630,11 @@ def test_write_clean_csv_round_trip(tmp_path):
     assert np.allclose(again.features, ds.features)
     assert [ds.class_names[i] for i in ds.labels] \
         == [again.class_names[i] for i in again.labels]
+
+
+def test_write_clean_csv_ends_lines_with_newline(tmp_path):
+    ds = fd.Dataset(features=np.array([[0.0]]), labels=np.array([0]), class_names=["a"],
+                    schema=[fd.ColumnSchema("x", fd.KIND_NUMERIC)])
+    out = tmp_path / "clean.csv"
+    fd.write_clean_csv(ds, out)
+    assert out.read_bytes() == b"x,label\n0.0,a\n"

@@ -242,6 +242,38 @@ def test_presets():
         pl.apply_preset(cfg, "laptop")
 
 
+def key_value(cfg, key):
+    parent, _, name = pl.CONFIG_KEYS[key][0].rpartition(".")
+    return getattr(getattr(cfg, parent) if parent else cfg, name)
+
+
+def test_readme_config_table_states_the_real_defaults():
+    """Each backticked default in README's config table, parsed as the
+    config file would parse it, is PipelineConfig()'s value."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = readme[readme.index("| key | default | meaning |"):].splitlines()[2:]
+    default, checked = pl.PipelineConfig(), set()
+    for row in rows:
+        if not row.startswith("|"):
+            break
+        keys, defaults = (re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:3])
+        if defaults:
+            (key,), (text,) = keys, defaults
+            assert key_value(default, key) == pl.CONFIG_KEYS[key][1](text), key
+            checked.add(key)
+    assert checked == set(pl.CONFIG_KEYS) - {"data.input", "data.socket_columns",
+                                             "data.subsample"}
+
+
+def test_preset_keys_are_config_keys():
+    """Preset values go through the config keys' own parsers, and no key
+    names the record of what a file set."""
+    for preset, values in pl.PRESETS.items():
+        assert set(values) <= set(pl.CONFIG_KEYS), preset
+        pl.apply_preset(pl.PipelineConfig(), preset).validate()
+    assert "file_keys" not in {target for target, _ in pl.CONFIG_KEYS.values()}
+
+
 def test_config_validation():
     cfg = pl.PipelineConfig(augment_policy="smote")
     with pytest.raises(ValueError):
@@ -712,6 +744,43 @@ def test_cli_preset_keeps_settings_the_config_sets(tmp_path, capsys):
     assert (cfg.subsample, cfg.aso.iterations, cfg.proxy_epochs) == (5000, 20, 3)
     cfg_path.write_text("data.subsample = 8000\n")
     assert cli_config("--config", cfg_path, "--preset", "desk").subsample == 8000
+
+
+def test_cli_preset_keeps_a_file_setting_that_equals_the_default(tmp_path):
+    """A key the file sets is the file's even when its value is the
+    default; the preset still sets every other key it names."""
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("extractor.blocks = 16\ngan.epochs = 60\n")
+    cfg = cli_config("--config", cfg_path, "--preset", "desk")
+    assert (cfg.extractor_blocks, cfg.gan.epochs) == (16, 60)
+    assert cfg.file_keys == ("extractor.blocks", "gan.epochs")
+    for key, text in pl.PRESETS["desk"].items():
+        if key not in cfg.file_keys:
+            assert key_value(cfg, key) == pl.CONFIG_KEYS[key][1](text), key
+
+
+@pytest.mark.parametrize("preset", sorted(pl.PRESETS))
+@pytest.mark.parametrize("text", ["", "extractor.blocks = 16\ngan.epochs = 60\n",
+                                  "aso.population = 6\ngan.epochs = 200\n"])
+def test_bench_child_sequence_gives_the_cli_config(tmp_path, preset, text):
+    """perfbench/child.py loads the file, applies the preset and validates;
+    that gives `dosids run`'s config, also when the file sets a preset key
+    to its default."""
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text + "run.seed = 3\n")
+    cfg = pl.apply_preset(pl.config_from_file(cfg_path), preset)
+    cfg.validate()
+    from_cli = cli_config("--config", cfg_path, "--preset", preset)
+    assert cfg == from_cli and cfg.file_keys == from_cli.file_keys
+
+
+def test_cli_refuses_a_key_set_twice(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(f"gan.epochs = 7\nrun.out = {tmp_path / 'out'}\ngan.epochs = 9\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}:3: 'gan.epochs' already set on line 1" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_classifier_overrides_without_skip_tune_are_a_config_error(tmp_path, capsys):

@@ -12,7 +12,7 @@ Library layout:
 - ``aso``        atom-search optimizer and classifier hyperparameter tuning
 - ``parallel``   process pools for independent jobs (per-class GANs,
                  atom-search generations)
-- ``evalkit``    confusion matrices, per-class/macro metrics, report rendering
+- ``evalkit``    confusion matrices, per-class/macro metrics, the report table
 - ``pipeline``   staged end-to-end runs with checkpoints and a manifest
 - ``cli``        ``dosids`` command-line entry point
 """

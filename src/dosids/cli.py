@@ -13,17 +13,17 @@ import argparse
 import logging
 import sys
 
-from .pipeline import (PipelineConfig, StageError, apply_preset,
-                       config_from_file, run_pipeline, run_stage, STAGES)
+from .pipeline import (CONFIG_KEYS, PipelineConfig, StageError, apply_preset,
+                       config_from_file, run_pipeline, run_stage, set_keys, STAGES)
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="pipeline config file")
     parser.add_argument("--preset", choices=["desk", "paper"],
                         help="use the preset's size settings, bar those the config file sets")
-    parser.add_argument("--seed", type=int, help="override run.seed")
-    parser.add_argument("--out", help="override run.out")
-    parser.add_argument("--skip-tune", action="store_true",
+    parser.add_argument("--seed", dest="run.seed", metavar="SEED", help="override run.seed")
+    parser.add_argument("--out", dest="run.out", metavar="OUT", help="override run.out")
+    parser.add_argument("--skip-tune", dest="tune.skip", action="store_const", const="true",
                         help="use the reference hyperparameters instead of tuning")
     parser.add_argument("--emit-clean", metavar="PATH",
                         help="also write the preprocessed matrix as CSV")
@@ -48,12 +48,8 @@ def _config_from_args(args) -> PipelineConfig:
     cfg = config_from_file(args.config)
     if args.preset:
         cfg = apply_preset(cfg, args.preset)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.out_dir = args.out
-    if args.skip_tune:
-        cfg.skip_tune = True
+    cfg = set_keys(cfg, {key: text for key, text in vars(args).items()
+                         if key in CONFIG_KEYS and text is not None})
     if args.emit_clean:
         cfg.emit_clean = args.emit_clean
     if args.emit_synthetic:

@@ -6,9 +6,6 @@ accuracy differs between classes. Zero-denominator precision/recall/F1
 are defined as 0. Macro averages are unweighted class means.
 """
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,32 +98,18 @@ def _pct(v: float) -> str:
     return f"{100.0 * v:.2f}"
 
 
-def render_report(report: MetricsReport, fmt: str = "table") -> str:
-    """Render as a percentage table (f1/recall/precision/accuracy column
-    order), full-precision JSON, or full-precision CSV."""
-    if fmt == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    if fmt == "csv":
-        columns = ("f1", "recall", "precision", "accuracy")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("class",) + columns)
-        rows = [(name, report.per_class[name]) for name in report.class_names]
-        for name, row in rows + [("macro", report.macro)]:
-            writer.writerow([name] + [repr(row[k]) for k in columns])
-        return buf.getvalue()
-    if fmt == "table":
-        width = max([len(n) for n in report.class_names] + [len("class"), len("macro")])
-        header = f"{'class':<{width}}  {'f1':>9}  {'recall':>9}  {'precision':>9}  {'accuracy':>9}"
-        lines = [header, "-" * len(header)]
-        for name in report.class_names:
-            row = report.per_class[name]
-            lines.append(f"{name:<{width}}  {_pct(row['f1']):>9}  {_pct(row['recall']):>9}  "
-                         f"{_pct(row['precision']):>9}  {_pct(row['accuracy']):>9}")
-        m = report.macro
-        lines.append("-" * len(header))
-        lines.append(f"{'macro':<{width}}  {_pct(m['f1']):>9}  {_pct(m['recall']):>9}  "
-                     f"{_pct(m['precision']):>9}  {_pct(m['accuracy']):>9}")
-        lines.append(f"overall accuracy: {_pct(report.overall_accuracy)}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+def render_report(report: MetricsReport) -> str:
+    """Render as a percentage table, f1/recall/precision/accuracy columns."""
+    width = max([len(n) for n in report.class_names] + [len("class"), len("macro")])
+    header = f"{'class':<{width}}  {'f1':>9}  {'recall':>9}  {'precision':>9}  {'accuracy':>9}"
+    lines = [header, "-" * len(header)]
+    for name in report.class_names:
+        row = report.per_class[name]
+        lines.append(f"{name:<{width}}  {_pct(row['f1']):>9}  {_pct(row['recall']):>9}  "
+                     f"{_pct(row['precision']):>9}  {_pct(row['accuracy']):>9}")
+    m = report.macro
+    lines.append("-" * len(header))
+    lines.append(f"{'macro':<{width}}  {_pct(m['f1']):>9}  {_pct(m['recall']):>9}  "
+                 f"{_pct(m['precision']):>9}  {_pct(m['accuracy']):>9}")
+    lines.append(f"overall accuracy: {_pct(report.overall_accuracy)}")
+    return "\n".join(lines) + "\n"

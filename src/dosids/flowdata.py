@@ -356,11 +356,18 @@ def subsample(d: Dataset, max_rows: int, seed: int) -> Dataset:
     return replace(d, features=d.features[idx], labels=d.labels[idx])
 
 
-def write_clean_csv(d: Dataset, path):
-    """Dump the post-preprocessing matrix plus the label as class names."""
+def write_csv(path, header: list, rows):
+    """Write `header` and then `rows` as CSV, lines ended by '\n'. Fields
+    holding a comma or a quote are quoted; a Python float is written as its
+    repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(d.feature_names() + ["label"])
-        for r in range(d.n_rows):
-            writer.writerow([repr(float(v)) for v in d.features[r]]
-                            + [d.class_names[d.labels[r]]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_clean_csv(d: Dataset, path):
+    """Dump the post-preprocessing matrix plus the label as class names."""
+    write_csv(path, d.feature_names() + ["label"],
+              (row + [d.class_names[lab]]
+               for row, lab in zip(d.features.tolist(), d.labels.tolist())))

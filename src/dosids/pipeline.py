@@ -10,7 +10,6 @@ emitted number.
 """
 
 import copy
-import csv
 import hashlib
 import json
 import logging
@@ -74,6 +73,8 @@ class PipelineConfig:
             raise ValueError("augment_policy must be 'median' or 'none'")
         if self.classifier_input not in ("features", "raw"):
             raise ValueError("classifier_input must be 'features' or 'raw'")
+        if not self.out_dir:
+            raise ValueError("run.out must not be empty")
         for name, least in (("subsample", 1), ("extractor_blocks", 1),
                             ("extractor_base_channels", 1), ("extractor_epochs", 0),
                             ("extractor_batch_size", 1), ("proxy_epochs", 1)):
@@ -154,27 +155,34 @@ def set_keys(cfg: PipelineConfig, values: dict[str, str]) -> PipelineConfig:
         else:
             raise ValueError(f"unknown config key {key!r}")
         parent, _, name = field_path.rpartition(".")
-        setattr(getattr(cfg, parent) if parent else cfg, name, parse(text))
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+        setattr(getattr(cfg, parent) if parent else cfg, name, value)
     return cfg
 
 
 def config_from_file(path) -> PipelineConfig:
     """PipelineConfig() with the keys of a flat `dotted.key = value` file set
-    ('#' starts a comment), and those keys recorded in `file_keys`."""
-    values: dict[str, str] = {}
-    lines: dict[str, int] = {}
+    ('#' starts a comment) and recorded in `file_keys`; errors name the line."""
+    cfg, lines = PipelineConfig(), {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in lines:
-                raise ValueError(f"{path}:{lineno}: {key!r} already set on line {lines[key]}")
-            values[key], lines[key] = value, lineno
-    return replace(set_keys(PipelineConfig(), values), file_keys=tuple(values))
+            try:
+                if "=" not in line:
+                    raise ValueError("expected 'key = value'")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in lines:
+                    raise ValueError(f"{key!r} already set on line {lines[key]}")
+                cfg = set_keys(cfg, {key: value})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            lines[key] = lineno
+    return replace(cfg, file_keys=tuple(lines))
 
 
 def apply_preset(cfg: PipelineConfig, preset: str) -> PipelineConfig:
@@ -290,14 +298,10 @@ def stage_augment(cfg: PipelineConfig, out: str) -> dict:
         "targets": {train.class_names[c]: n for c, n in targets.items()},
     })
     if cfg.emit_synthetic:
-        synth = augmented.features[train.n_rows:]
-        labels = augmented.labels[train.n_rows:]
-        with open(cfg.emit_synthetic, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(train.feature_names() + ["label", "synthetic"])
-            for row, lab in zip(synth, labels):
-                writer.writerow([repr(float(v)) for v in row]
-                                + [train.class_names[lab], "1"])
+        synth = augmented.features[train.n_rows:].tolist()
+        labels = augmented.labels[train.n_rows:].tolist()
+        fd.write_csv(cfg.emit_synthetic, train.feature_names() + ["label", "synthetic"],
+                     (row + [train.class_names[lab], 1] for row, lab in zip(synth, labels)))
     return {"census_before": before, "census_after": after}
 
 
@@ -363,10 +367,8 @@ def stage_tune(cfg: PipelineConfig, out: str) -> dict:
                 "validation_error": result.validation_error}
         saved, trace = dict(info, evaluations=result.evaluations), result.trace
     _write_json(os.path.join(out, "hyperparams.json"), saved)
-    with open(os.path.join(out, "aso_trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write("iteration,best_fitness,mean_fitness,K\n")
-        for nt, best, mean, k in trace:
-            fh.write(f"{nt},{best!r},{mean!r},{k}\n")
+    fd.write_csv(os.path.join(out, "aso_trace.csv"),
+                 ["iteration", "best_fitness", "mean_fitness", "K"], trace)
     return info
 
 
@@ -382,10 +384,7 @@ def stage_train(cfg: PipelineConfig, out: str) -> dict:
     clf, trace = train_classifier(clf, features, labels, hp,
                                   seed=substream_seed(cfg.seed, "classifier"))
     save_arrays(os.path.join(out, "classifier.ckpt"), clf.state_arrays())
-    with open(os.path.join(out, "epoch_trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss,train_acc\n")
-        for epoch, loss, acc in trace:
-            fh.write(f"{epoch},{loss!r},{acc!r}\n")
+    fd.write_csv(os.path.join(out, "epoch_trace.csv"), ["epoch", "loss", "train_acc"], trace)
     _write_json(os.path.join(out, "train.json"), {
         "hyperparameters": hp.to_dict(),
         "feature_dim": int(features.shape[1]),
@@ -411,16 +410,13 @@ def stage_evaluate(cfg: PipelineConfig, out: str) -> dict:
     cm = confusion_from_predictions(labels, pred, info["n_classes"], class_names)
     report = per_class_metrics(cm)
 
-    with open(os.path.join(out, "metrics.json"), "w", encoding="utf-8") as fh:
-        fh.write(render_report(report, "json"))
-        fh.write("\n")
-    with open(os.path.join(out, "per_class.csv"), "w", encoding="utf-8") as fh:
-        fh.write(render_report(report, "csv"))
-    with open(os.path.join(out, "confusion.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([""] + class_names)
-        for i, name in enumerate(class_names):
-            writer.writerow([name] + [str(v) for v in cm.counts[i]])
+    _write_json(os.path.join(out, "metrics.json"), report.to_dict())
+    columns = ("f1", "recall", "precision", "accuracy")
+    fd.write_csv(os.path.join(out, "per_class.csv"), ["class", *columns],
+                 ([name] + [row[k] for k in columns] for name, row
+                  in [*report.per_class.items(), ("macro", report.macro)]))
+    fd.write_csv(os.path.join(out, "confusion.csv"), [""] + class_names,
+                 ([name] + counts for name, counts in zip(class_names, cm.counts.tolist())))
     return {"overall_accuracy": report.overall_accuracy,
             "macro_f1": report.macro["f1"]}
 
@@ -429,7 +425,7 @@ def stage_report(cfg: PipelineConfig, out: str) -> dict:
     """Re-render the evaluation metrics as a human-readable table."""
     report = MetricsReport.from_dict(_read_json(_path(cfg, "evaluate", "metrics.json")))
     with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(render_report(report, "table"))
+        fh.write(render_report(report))
     return {"report": os.path.join(out, "report.txt")}
 
 

@@ -1,12 +1,9 @@
 """Metric checks against hand values and a brute-force pair-scanning oracle."""
 
-import json
-
 import numpy as np
 import pytest
 
-from dosids.evalkit import (ConfusionMatrix, MetricsReport,
-                            confusion_from_predictions, per_class_metrics,
+from dosids.evalkit import (ConfusionMatrix, confusion_from_predictions, per_class_metrics,
                             render_report)
 
 
@@ -147,31 +144,7 @@ def test_one_vs_rest_counts_total():
 def test_render_table_saturated_and_order():
     y = np.array([0, 1, 1, 0])
     report = per_class_metrics(confusion_from_predictions(y, y, 2, ["normal", "attack"]))
-    table = render_report(report, "table")
+    table = render_report(report)
     header = table.splitlines()[0].split()
     assert header == ["class", "f1", "recall", "precision", "accuracy"]
     assert table.count("100.00") >= 8
-
-
-def test_render_json_round_trips():
-    rng = np.random.default_rng(10)
-    y_true = rng.integers(0, 3, 97)
-    y_pred = rng.integers(0, 3, 97)
-    report = per_class_metrics(confusion_from_predictions(y_true, y_pred, 3))
-    again = MetricsReport.from_dict(json.loads(render_report(report, "json")))
-    assert again.to_dict() == report.to_dict()
-
-
-def test_render_csv_header_and_parse():
-    y = np.array([0, 1, 0, 1, 1])
-    report = per_class_metrics(confusion_from_predictions(y, y, 2, ["a", "b"]))
-    lines = render_report(report, "csv").splitlines()
-    assert lines[0] == "class,f1,recall,precision,accuracy"
-    value = float(lines[1].split(",")[1])
-    assert value == report.per_class["a"]["f1"]
-
-
-def test_render_unknown_format():
-    report = per_class_metrics(confusion_from_predictions([0, 1], [0, 1], 2))
-    with pytest.raises(ValueError):
-        render_report(report, "yaml")

@@ -23,6 +23,7 @@ from dosids.aso import AsoConfig, TuneResult
 from dosids.augment import GanConfig
 from dosids.checkpoint import file_digest, load_arrays, save_arrays
 from dosids.cli import _config_from_args, build_parser, main as cli_main
+from dosids.evalkit import ConfusionMatrix, MetricsReport, per_class_metrics
 from dosids.seeding import substream_seed
 from conftest import cluster_dataset
 
@@ -321,6 +322,19 @@ def test_full_run_artifacts_and_manifest(tiny_run):
     # skip-tune pins the reference optimum
     assert manifest["hyperparameters"]["momentum"] == 0.9
     assert manifest["hyperparameters"]["batch_size"] == 32
+    # metrics.json holds the report of the confusion matrix, and per_class.csv
+    # its per-class and macro floats
+    metrics = json.loads((out / "evaluate/metrics.json").read_text())
+    confusion = read_csv_rows(out / "evaluate/confusion.csv")
+    counts = np.array([[int(v) for v in row[1:]] for row in confusion[1:]])
+    assert MetricsReport.from_dict(metrics) == per_class_metrics(
+        ConfusionMatrix(counts, confusion[0][1:]))
+    per_class = read_csv_rows(out / "evaluate/per_class.csv")
+    assert per_class[0] == ["class", "f1", "recall", "precision", "accuracy"]
+    assert [row[0] for row in per_class[1:]] == metrics["class_names"] + ["macro"]
+    for name, *values in per_class[1:]:
+        row = metrics["macro"] if name == "macro" else metrics["per_class"][name]
+        assert [float(v) for v in values] == [row[k] for k in per_class[0][1:]]
 
 
 def test_dataset_json_lists_categories_of_retained_columns_only(tiny_run):
@@ -523,6 +537,27 @@ def test_tabular_outputs_quote_class_names(tiny_run):
     synth = read_csv_rows(tmp_path / "synth.csv")
     assert all(len(r) == len(synth[0]) for r in synth)
     assert {r[-2] for r in synth[1:]} == set(renamed.values())
+
+
+def test_every_csv_output_goes_through_one_writer(tiny_run):
+    """`flowdata.write_csv` holds the package's one csv.writer, so every CSV
+    a run writes ends its lines with '\n' and reads back square."""
+    package = Path(pl.__file__).parent
+    assert sum(p.read_text().count("csv.writer(") for p in package.rglob("*.py")) == 1
+    cfg_path, tmp_path = tiny_run
+    cfg = pl.config_from_file(cfg_path)
+    cfg.emit_clean = str(tmp_path / "clean.csv")
+    cfg.emit_synthetic = str(tmp_path / "synth.csv")
+    pl.run_pipeline(cfg)
+    paths = [tmp_path / "clean.csv", tmp_path / "synth.csv",
+             *sorted((tmp_path / "out").rglob("*.csv"))]
+    assert sorted(p.name for p in paths) == ["aso_trace.csv", "clean.csv", "confusion.csv",
+                                             "epoch_trace.csv", "per_class.csv", "synth.csv"]
+    for path in paths:
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, path.name
+        rows = read_csv_rows(path)
+        assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows), path.name
 
 
 def test_raw_classifier_input_skips_extractor(tiny_run):
@@ -780,6 +815,35 @@ def test_cli_refuses_a_key_set_twice(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert f"{cfg_path}:3: 'gan.epochs' already set on line 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("gan.epochs = abc", "gan.epochs: invalid literal for int()"),
+    ("tune.skip = maybe", "tune.skip: expected a boolean, got 'maybe'"),
+    ("gan.epochz = 3", "unknown config key 'gan.epochz'")])
+def test_cli_config_error_names_the_line_and_key(tmp_path, capsys, setting, message):
+    """A value the key's parser refuses, or an unknown key, is reported at
+    its file and line."""
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(f"run.out = {tmp_path / 'out'}\n{setting}\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert f"{cfg_path}:2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_flags_go_through_the_config_setter(tmp_path, capsys):
+    """--seed, --out and --skip-tune set run.seed, run.out and tune.skip
+    with the keys' parsers, after the preset; an empty run.out is refused."""
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(f"run.out = {tmp_path / 'out'}\nrun.seed = 3\n")
+    cfg = cli_config("--config", cfg_path, "--seed", "0", "--out", tmp_path / "o2",
+                     "--skip-tune", "--preset", "desk")
+    assert (cfg.seed, cfg.out_dir, cfg.skip_tune) == (0, str(tmp_path / "o2"), True)
+    assert cli_main(["run", "--config", str(cfg_path), "--seed", "x"]) == 2
+    assert "run.seed: invalid literal for int()" in capsys.readouterr().err
+    assert cli_main(["run", "--config", str(cfg_path), "--out", ""]) == 2
+    assert "run.out must not be empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

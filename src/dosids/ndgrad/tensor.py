@@ -7,6 +7,12 @@ result walks the recorded graph in reverse topological order and
 accumulates gradients with ``+=`` semantics, so diamond patterns such as
 residual skip connections come out right without special handling.
 
+The walk releases the graph's interior as it goes: once a node's closure
+has run, the node drops its gradient, its closure (with the arrays the op
+saved) and its parents, and keeps only ``.data``. Leaves, the tensors
+with no closure such as parameters, keep their accumulated ``.grad``. A
+second ``backward()`` that reaches a released node raises ``ValueError``.
+
 All computation is float64: the finite-difference checks in
 ``dosids.ndgrad.gradcheck`` rely on it.
 
@@ -19,6 +25,7 @@ from contextlib import contextmanager
 import numpy as np
 
 _grad_enabled = True
+_RELEASED = object()  # the closure slot of a node a backward() walk has spent
 
 
 def _as_array(data) -> np.ndarray:
@@ -57,7 +64,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self, grad=None):
-        """Accumulate d(self)/d(leaf) into every gradient-requiring leaf."""
+        """Accumulate d(self)/d(leaf) into every gradient-requiring leaf,
+        releasing each interior node once its closure has run."""
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
         topo = []
@@ -70,15 +78,19 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _RELEASED:
+                raise ValueError("backward() through a graph that was already released")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data) if grad is None else _as_array(grad)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _RELEASED, ()
 
     # ---- elementwise arithmetic ---------------------------------------
 

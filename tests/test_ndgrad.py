@@ -1,6 +1,8 @@
 """Differentiable-primitive checks: frozen hand values, finite-difference
 oracles, and the determinism/expectation contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -611,6 +613,38 @@ def test_sgd_functional_matches_class():
     assert np.allclose(p.data, expected)
 
 
+def reference_sgd_step(p, v, g, lr, momentum, weight_decay):
+    """One SGD step on plain arrays, the update rule written out by hand:
+    v <- momentum*v + (g + weight_decay*p); p <- p - lr*v."""
+    v = v * momentum
+    v = v + (g + weight_decay * p)
+    return p - lr * v, v
+
+
+def test_sgd_step_matches_reference_bitwise():
+    """Several steps over three parameters, one of which has no gradient
+    on some steps: every parameter matches the hand-written step to the
+    last bit, and a step without a gradient leaves it and its velocity
+    untouched (no weight decay applied)."""
+    rng = RNG(91)
+    shapes = [(4, 3), (5,), (2, 2, 3)]
+    lr, momentum, weight_decay = 0.07, 0.9, 3e-4
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    opt = ng.SGD(params, lr, momentum=momentum, weight_decay=weight_decay)
+    expected = [p.data.copy() for p in params]
+    velocity = [np.zeros(s) for s in shapes]
+    for step in range(5):
+        for i, p in enumerate(params):
+            p.grad = None if (i == 1 and step % 2) else rng.normal(size=shapes[i])
+            if p.grad is not None:
+                expected[i], velocity[i] = reference_sgd_step(
+                    expected[i], velocity[i], p.grad, lr, momentum, weight_decay)
+        opt.step()
+        for p, want, v_got, v_want in zip(params, expected, opt.velocity, velocity):
+            assert p.data.tobytes() == want.tobytes(), step
+            assert v_got.tobytes() == v_want.tobytes(), step
+
+
 # ---- graph behavior ----------------------------------------------------------------------
 
 def test_gradient_accumulates_through_skip_connection():
@@ -638,6 +672,103 @@ def test_two_training_steps_bit_identical():
     w1, b1 = run()
     w2, b2 = run()
     assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+
+def walk_keeping_graph(root):
+    """backward() as a plain reverse-topological walk that releases
+    nothing: the oracle for what the releasing walk must compute."""
+    topo, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for parent in node._parents:
+                visit(parent)
+            topo.append(node)
+
+    visit(root)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def skip_connection_case(walk):
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    y = x * 3.0 + x
+    walk(y)
+    return [x.grad], [y.data]
+
+
+def two_step_case(walk):
+    rng = RNG(99)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    opt = ng.SGD([w, b], 0.05, momentum=0.9)
+    data, targets = rng.normal(size=(6, 4)), rng.integers(0, 3, 6)
+    grads, losses = [], []
+    for _ in range(2):
+        hidden = ng.relu(ng.dense(Tensor(data), w, b))
+        loss, _ = ng.softmax_cross_entropy(ng.dense(hidden, w[:, :3], b), targets)
+        opt.zero_grad()
+        walk(loss)
+        grads += [w.grad.copy(), b.grad.copy()]
+        losses.append(loss.data)
+        opt.step()
+    return grads + [w.data, b.data], losses
+
+
+@pytest.mark.parametrize("case", [skip_connection_case, two_step_case])
+def test_release_leaves_leaf_gradients_unchanged(case):
+    """The releasing walk gives every leaf gradient, every updated
+    parameter and every loss value bit for bit as a walk that keeps the
+    graph does."""
+    got, got_loss = case(Tensor.backward)
+    want, want_loss = case(walk_keeping_graph)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [a.tobytes() for a in got_loss] == [a.tobytes() for a in want_loss]
+
+
+def small_training_graph():
+    rng = RNG(63)
+    w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    v = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    hidden = ng.relu(ng.dense(Tensor(rng.normal(size=(6, 4))), w))
+    loss, _ = ng.softmax_cross_entropy(ng.dense(hidden, v), rng.integers(0, 3, 6))
+    return w, v, hidden, loss
+
+
+def test_backward_releases_interior_activations():
+    """After backward(), an interior activation is held only by its own
+    name: once that goes, its array is freed although `loss` is alive.
+    Its .data stays readable while the name holds it."""
+    w, v, hidden, loss = small_training_graph()
+    before = hidden.data.copy()
+    loss.backward()
+    assert np.array_equal(hidden.data, before)
+    assert hidden.grad is None and hidden._parents == ()
+    assert w.grad is not None and v.grad is not None
+    alive = weakref.ref(hidden.data)
+    del hidden
+    assert alive() is None
+    assert np.isfinite(loss.data) and loss._parents == ()
+
+
+def test_second_backward_raises_and_leaves_gradients_alone():
+    w, v, hidden, loss = small_training_graph()
+    loss.backward()
+    grads = (w.grad.copy(), v.grad.copy())
+    with pytest.raises(ValueError, match="already released"):
+        loss.backward()
+    with pytest.raises(ValueError, match="already released"):
+        (hidden * 2.0).sum().backward()
+    assert np.array_equal(w.grad, grads[0]) and np.array_equal(v.grad, grads[1])
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    y = x * 3.0 + x
+    y.backward()
+    with pytest.raises(ValueError, match="already released"):
+        y.backward()
+    assert x.grad[0] == 4.0
 
 
 def test_backward_requires_grad():

@@ -13,6 +13,7 @@ Library layout:
 - ``parallel``   process pools for independent jobs (per-class GANs,
                  atom-search generations)
 - ``evalkit``    confusion matrices, per-class/macro metrics, the report table
+- ``settings``   each config field's allowed values and the one check of them
 - ``pipeline``   staged end-to-end runs with checkpoints and a manifest
 - ``cli``        ``dosids`` command-line entry point
 """

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import ndgrad as ng
 from .seeding import substream
+from .settings import check_settings, setting
 
 log = logging.getLogger(__name__)
 
@@ -28,23 +29,11 @@ class Hyperparameters:
     """SGD settings searched by the tuner. Defaults are the reference
     optimum used when tuning is skipped."""
 
-    momentum: float = 0.9
-    weight_decay: float = 0.005
-    epochs: int = 100
-    learning_rate: float = 0.001
-    batch_size: int = 32
-
-    def validate(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
+    momentum: float = setting(0.9, least=0.0, below=1.0)
+    weight_decay: float = setting(0.005, least=0.0)
+    epochs: int = setting(100, least=1)
+    learning_rate: float = setting(0.001, above=0.0)
+    batch_size: int = setting(32, least=1)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -52,7 +41,7 @@ class Hyperparameters:
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperparameters":
         hp = cls(**{name: parse(d[name]) for name, parse in HYPERPARAMETER_TYPES.items()})
-        hp.validate()
+        check_settings(hp)
         return hp
 
 
@@ -152,7 +141,7 @@ def train_classifier(clf: AlexNetClassifier, features: np.ndarray, labels: np.nd
     plus a per-epoch (epoch, mean loss, train accuracy) trace.
 
     hp.learning_rate is the initial rate of a step-decay schedule."""
-    hp.validate()
+    check_settings(hp)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     _check_width(clf, features)

@@ -20,6 +20,7 @@ import numpy as np
 from . import parallel
 from .alexclf import Hyperparameters
 from .seeding import substream
+from .settings import check_settings, setting
 
 log = logging.getLogger(__name__)
 
@@ -49,19 +50,11 @@ class SearchSpace:
 
 @dataclass
 class AsoConfig:
-    population: int = 20
-    iterations: int = 30
-    depth_weight: float = 50.0        # interaction force scale
-    multiplier_weight: float = 0.2    # constraint force scale
+    population: int = setting(20, least=2)
+    iterations: int = setting(30, least=1)
+    depth_weight: float = setting(50.0, above=0.0)        # interaction force scale
+    multiplier_weight: float = setting(0.2, above=0.0)    # constraint force scale
     seed: int = 0
-
-    def validate(self):
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.depth_weight <= 0 or self.multiplier_weight <= 0:
-            raise ValueError("force weights must be positive")
 
 
 @dataclass
@@ -205,7 +198,7 @@ def optimize(objective, space: SearchSpace, cfg: AsoConfig, workers: int = 1) ->
     update then run in atom order, so the result does not depend on
     `workers`.
     """
-    cfg.validate()
+    check_settings(cfg)
     n, mt, d = cfg.population, cfg.iterations, space.dims
     rng0 = substream(cfg.seed, "init")
     positions = rng0.uniform(space.lower, space.upper, (n, d))
@@ -300,6 +293,6 @@ def tune_hyperparameters(trainable, cfg: AsoConfig) -> TuneResult:
     result = optimize(objective, space, cfg,
                       workers=min(cfg.population, parallel.available_cpus()))
     hp = decode_hyperparameters(result.position)
-    hp.validate()
+    check_settings(hp)
     return TuneResult(hyperparameters=hp, validation_error=result.fitness,
                       trace=result.trace, evaluations=result.evaluations)

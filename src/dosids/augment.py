@@ -20,6 +20,7 @@ from . import ndgrad as ng
 from . import parallel
 from .flowdata import Dataset
 from .seeding import substream, substream_seed
+from .settings import check_settings, setting
 
 log = logging.getLogger(__name__)
 
@@ -34,15 +35,9 @@ DISCRIMINATOR_CHANNELS = (8, 16)
 
 @dataclass
 class GanConfig:
-    batch_size: int = 32
-    epochs: int = 60
+    batch_size: int = setting(32, least=2)
+    epochs: int = setting(60, least=1)
     seed: int = 0
-
-    def validate(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
 
 
 def _conv_kernel(length: int) -> int:
@@ -132,7 +127,7 @@ def discriminator_loss(d_of_real, d_of_fake) -> ng.Tensor:
 def train_dcgan(rows: np.ndarray, cfg: GanConfig) -> GanPair:
     """Alternating single-step updates, one discriminator then one
     generator step per batch, plain SGD on both."""
-    cfg.validate()
+    check_settings(cfg)
     rows = np.asarray(rows, dtype=np.float64)
     n, n_features = rows.shape
     if n < MIN_GAN_ROWS:

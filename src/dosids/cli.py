@@ -13,13 +13,13 @@ import argparse
 import logging
 import sys
 
-from .pipeline import (CONFIG_KEYS, PipelineConfig, StageError, apply_preset,
+from .pipeline import (CONFIG_KEYS, PRESETS, PipelineConfig, StageError, apply_preset,
                        config_from_file, run_pipeline, run_stage, set_keys, STAGES)
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="pipeline config file")
-    parser.add_argument("--preset", choices=["desk", "paper"],
+    parser.add_argument("--preset", choices=list(PRESETS),
                         help="use the preset's size settings, bar those the config file sets")
     parser.add_argument("--seed", dest="run.seed", metavar="SEED", help="override run.seed")
     parser.add_argument("--out", dest="run.out", metavar="OUT", help="override run.out")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-METRIC_KEYS = ("accuracy", "precision", "recall", "f1")
+METRIC_KEYS = ("f1", "recall", "precision", "accuracy")    # report column order
 
 
 @dataclass
@@ -83,11 +83,9 @@ def per_class_metrics(cm: ConfusionMatrix) -> MetricsReport:
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1 = (2.0 * precision * recall / (precision + recall)
               if precision + recall > 0 else 0.0)
-        row = {"accuracy": float(accuracy), "precision": float(precision),
-               "recall": float(recall), "f1": float(f1)}
-        per_class[name] = row
+        per_class[name] = dict(zip(METRIC_KEYS, map(float, (f1, recall, precision, accuracy))))
         for k in METRIC_KEYS:
-            sums[k] += row[k]
+            sums[k] += per_class[name][k]
     macro = {k: sums[k] / cm.n_classes for k in METRIC_KEYS}
     overall = float(np.trace(counts) / total)
     return MetricsReport(class_names=list(cm.class_names), per_class=per_class,
@@ -99,17 +97,17 @@ def _pct(v: float) -> str:
 
 
 def render_report(report: MetricsReport) -> str:
-    """Render as a percentage table, f1/recall/precision/accuracy columns."""
+    """Render as a percentage table, one column per METRIC_KEYS entry."""
     width = max([len(n) for n in report.class_names] + [len("class"), len("macro")])
-    header = f"{'class':<{width}}  {'f1':>9}  {'recall':>9}  {'precision':>9}  {'accuracy':>9}"
+
+    def line(label, cells):
+        return f"{label:<{width}}" + "".join(f"  {cell:>9}" for cell in cells)
+
+    header = line("class", METRIC_KEYS)
     lines = [header, "-" * len(header)]
     for name in report.class_names:
-        row = report.per_class[name]
-        lines.append(f"{name:<{width}}  {_pct(row['f1']):>9}  {_pct(row['recall']):>9}  "
-                     f"{_pct(row['precision']):>9}  {_pct(row['accuracy']):>9}")
-    m = report.macro
+        lines.append(line(name, (_pct(report.per_class[name][k]) for k in METRIC_KEYS)))
     lines.append("-" * len(header))
-    lines.append(f"{'macro':<{width}}  {_pct(m['f1']):>9}  {_pct(m['recall']):>9}  "
-                 f"{_pct(m['precision']):>9}  {_pct(m['accuracy']):>9}")
+    lines.append(line("macro", (_pct(report.macro[k]) for k in METRIC_KEYS)))
     lines.append(f"overall accuracy: {_pct(report.overall_accuracy)}")
     return "\n".join(lines) + "\n"

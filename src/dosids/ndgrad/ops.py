@@ -47,8 +47,8 @@ def tanh(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    out_data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bw(g):
         _accumulate(x, g * out_data * (1.0 - out_data))

@@ -27,10 +27,11 @@ from .alexclf import (HYPERPARAMETER_TYPES, Hyperparameters, build_classifier, p
 from .aso import AsoConfig, tune_hyperparameters
 from .augment import GanConfig
 from .checkpoint import file_digest, load_arrays, save_arrays
-from .evalkit import (MetricsReport, confusion_from_predictions, per_class_metrics,
-                      render_report)
+from .evalkit import (METRIC_KEYS, MetricsReport, confusion_from_predictions,
+                      per_class_metrics, render_report)
 from .resfeat import build_feature_extractor, extract_features, train_feature_extractor
 from .seeding import substream_seed
+from .settings import check_settings, setting
 
 log = logging.getLogger(__name__)
 
@@ -49,18 +50,18 @@ class PipelineConfig:
     input_path: str = ""
     label_column: str = "label"
     socket_columns: list[str] = field(default_factory=lambda: list(fd.DEFAULT_SOCKET_COLUMNS))
-    subsample: int | None = None
-    augment_policy: str = "median"          # "median" or "none"
+    subsample: int | None = setting(None, least=1)
+    augment_policy: str = setting("median", choices=("median", "none"))
     gan: GanConfig = field(default_factory=GanConfig)
-    extractor_blocks: int = 16
-    extractor_base_channels: int = 16
-    extractor_epochs: int = 10
-    extractor_batch_size: int = 32
+    extractor_blocks: int = setting(16, least=1)
+    extractor_base_channels: int = setting(16, least=1)
+    extractor_epochs: int = setting(10, least=0)
+    extractor_batch_size: int = setting(32, least=1)
     aso: AsoConfig = field(default_factory=AsoConfig)
-    proxy_epochs: int = 5
+    proxy_epochs: int = setting(5, least=1)
     skip_tune: bool = False
     classifier_overrides: Hyperparameters | None = None
-    classifier_input: str = "features"      # "features" or "raw"
+    classifier_input: str = setting("features", choices=("features", "raw"))
     seed: int = 0
     out_dir: str = "runs/out"
     emit_clean: str | None = None
@@ -69,24 +70,12 @@ class PipelineConfig:
     file_keys: tuple[str, ...] = field(default=(), compare=False)
 
     def validate(self):
-        if self.augment_policy not in ("median", "none"):
-            raise ValueError("augment_policy must be 'median' or 'none'")
-        if self.classifier_input not in ("features", "raw"):
-            raise ValueError("classifier_input must be 'features' or 'raw'")
+        """The cross-field rules, then every field's declared domain."""
         if not self.out_dir:
             raise ValueError("run.out must not be empty")
-        for name, least in (("subsample", 1), ("extractor_blocks", 1),
-                            ("extractor_base_channels", 1), ("extractor_epochs", 0),
-                            ("extractor_batch_size", 1), ("proxy_epochs", 1)):
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise ValueError(f"{name} must be >= {least}")
-        self.gan.validate()
-        self.aso.validate()
-        if self.classifier_overrides is not None:
-            if not self.skip_tune:
-                raise ValueError("classifier.* applies only with tune.skip or --skip-tune")
-            self.classifier_overrides.validate()
+        if self.classifier_overrides is not None and not self.skip_tune:
+            raise ValueError("classifier.* applies only with tune.skip or --skip-tune")
+        check_settings(self)
 
 
 # ---- config file ------------------------------------------------------------
@@ -190,7 +179,8 @@ def apply_preset(cfg: PipelineConfig, preset: str) -> PipelineConfig:
     the keys the config file set (`cfg.file_keys`). Code that builds a
     PipelineConfig itself sets its own values after the preset."""
     if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r} (expected 'desk' or 'paper')")
+        raise ValueError(f"unknown preset {preset!r} "
+                         f"(expected {' or '.join(map(repr, PRESETS))})")
     return set_keys(cfg, {key: text for key, text in PRESETS[preset].items()
                           if key not in cfg.file_keys})
 
@@ -411,9 +401,8 @@ def stage_evaluate(cfg: PipelineConfig, out: str) -> dict:
     report = per_class_metrics(cm)
 
     _write_json(os.path.join(out, "metrics.json"), report.to_dict())
-    columns = ("f1", "recall", "precision", "accuracy")
-    fd.write_csv(os.path.join(out, "per_class.csv"), ["class", *columns],
-                 ([name] + [row[k] for k in columns] for name, row
+    fd.write_csv(os.path.join(out, "per_class.csv"), ["class", *METRIC_KEYS],
+                 ([name] + [row[k] for k in METRIC_KEYS] for name, row
                   in [*report.per_class.items(), ("macro", report.macro)]))
     fd.write_csv(os.path.join(out, "confusion.csv"), [""] + class_names,
                  ([name] + counts for name, counts in zip(class_names, cm.counts.tolist())))

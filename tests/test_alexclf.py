@@ -10,6 +10,7 @@ from dosids import ndgrad as ng
 from dosids.alexclf import (AlexNetClassifier, Hyperparameters, build_classifier,
                             predict, train_classifier)
 from dosids.ndgrad import Tensor, grad_check, ops
+from dosids.settings import check_settings
 
 
 def toy_features(seed=0, n_per_class=80, n_classes=3, dim=16, sigma=0.03):
@@ -73,11 +74,11 @@ def test_forward_on_minimal_width():
 
 
 def test_hyperparameters_validation():
-    Hyperparameters().validate()
+    check_settings(Hyperparameters())
     for bad in (dict(momentum=1.0), dict(learning_rate=0.0), dict(batch_size=0),
                 dict(epochs=0), dict(weight_decay=-0.1)):
         with pytest.raises(ValueError):
-            quick_hp(**bad).validate()
+            check_settings(quick_hp(**bad))
 
 
 def test_hyperparameters_dict_round_trip():

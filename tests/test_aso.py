@@ -20,6 +20,7 @@ from dosids.aso import (AsoConfig, SearchSpace, BATCH_CHOICES, H_MAX, H_MIN_BASE
                         length_scale, optimize, random_search, step,
                         tune_hyperparameters)
 from dosids.seeding import substream
+from dosids.settings import check_settings
 
 
 def test_masses_endpoints():
@@ -246,7 +247,7 @@ def test_optimize_nan_resample_then_abort():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AsoConfig(population=1).validate()
+        check_settings(AsoConfig(population=1))
     with pytest.raises(ValueError):
         SearchSpace([0.0], [0.0])
 
@@ -318,7 +319,7 @@ def test_decode_hyperparameters_valid_everywhere():
     rng = np.random.default_rng(12)
     for _ in range(200):
         hp = decode_hyperparameters(rng.uniform(space.lower, space.upper))
-        hp.validate()
+        check_settings(hp)
         assert hp.batch_size in BATCH_CHOICES
         assert 20 <= hp.epochs <= 100
 

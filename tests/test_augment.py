@@ -17,6 +17,7 @@ from dosids.augment import (GanConfig, discriminator_accuracy, discriminator_los
                             median_targets, oversample_minorities, sample_rows,
                             train_dcgan)
 from dosids.seeding import substream
+from dosids.settings import check_settings
 from conftest import cluster_dataset
 
 
@@ -342,6 +343,6 @@ def test_oversample_worker_error_propagates_and_reaps(monkeypatch):
 
 def test_gan_config_validation():
     with pytest.raises(ValueError):
-        GanConfig(epochs=0).validate()
+        check_settings(GanConfig(epochs=0))
     with pytest.raises(ValueError):
-        GanConfig(batch_size=1).validate()
+        check_settings(GanConfig(batch_size=1))

@@ -733,6 +733,9 @@ def test_cli_bad_config_exit_code(tmp_path):
 @pytest.mark.parametrize("setting", [
     "extractor.batch_size = 0", "extractor.base_channels = 0", "extractor.blocks = 0",
     "data.subsample = 0", "extractor.epochs = -3",
+    # non-finite floats
+    "tune.skip = true\nclassifier.learning_rate = nan",
+    "tune.skip = true\nclassifier.weight_decay = inf", "aso.depth_weight = nan",
     # keys that became constants: any value of them is refused as unknown
     "extractor.feature_dim = 0", "extractor.learning_rate = -1"])
 def test_cli_out_of_range_setting_is_a_config_error(tmp_path, capsys, setting):

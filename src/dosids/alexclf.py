@@ -45,7 +45,7 @@ class Hyperparameters:
         return hp
 
 
-# field name -> type; parses saved hyperparameters and `classifier.*` overrides
+# field name -> type; parses saved hyperparameters
 HYPERPARAMETER_TYPES = {f.name: f.type for f in fields(Hyperparameters)}
 
 

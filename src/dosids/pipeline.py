@@ -22,8 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, augment as aug, flowdata as fd, resfeat
-from .alexclf import (HYPERPARAMETER_TYPES, Hyperparameters, build_classifier, predict,
-                      train_classifier)
+from .alexclf import Hyperparameters, build_classifier, predict, train_classifier
 from .aso import AsoConfig, tune_hyperparameters
 from .augment import GanConfig
 from .checkpoint import file_digest, load_arrays, save_arrays
@@ -31,7 +30,7 @@ from .evalkit import (METRIC_KEYS, MetricsReport, confusion_from_predictions,
                       per_class_metrics, render_report)
 from .resfeat import build_feature_extractor, extract_features, train_feature_extractor
 from .seeding import substream_seed
-from .settings import check_settings, setting
+from .settings import check_settings, config_keys, setting
 
 log = logging.getLogger(__name__)
 
@@ -47,23 +46,25 @@ class StageError(Exception):
 
 @dataclass
 class PipelineConfig:
-    input_path: str = ""
-    label_column: str = "label"
-    socket_columns: list[str] = field(default_factory=lambda: list(fd.DEFAULT_SOCKET_COLUMNS))
-    subsample: int | None = setting(None, least=1)
-    augment_policy: str = setting("median", choices=("median", "none"))
-    gan: GanConfig = field(default_factory=GanConfig)
-    extractor_blocks: int = setting(16, least=1)
-    extractor_base_channels: int = setting(16, least=1)
-    extractor_epochs: int = setting(10, least=0)
-    extractor_batch_size: int = setting(32, least=1)
-    aso: AsoConfig = field(default_factory=AsoConfig)
-    proxy_epochs: int = setting(5, least=1)
-    skip_tune: bool = False
-    classifier_overrides: Hyperparameters | None = None
-    classifier_input: str = setting("features", choices=("features", "raw"))
-    seed: int = 0
-    out_dir: str = "runs/out"
+    input_path: str = setting("", key="data.input")
+    label_column: str = setting("label", key="data.label_column")
+    socket_columns: list[str] = setting(factory=lambda: list(fd.DEFAULT_SOCKET_COLUMNS),
+                                        key="data.socket_columns")
+    subsample: int | None = setting(None, key="data.subsample", least=1)
+    augment_policy: str = setting("median", key="augment.policy", choices=("median", "none"))
+    gan: GanConfig = setting(factory=GanConfig, key="gan")
+    extractor_blocks: int = setting(16, key="extractor.blocks", least=1)
+    extractor_base_channels: int = setting(16, key="extractor.base_channels", least=1)
+    extractor_epochs: int = setting(10, key="extractor.epochs", least=0)
+    extractor_batch_size: int = setting(32, key="extractor.batch_size", least=1)
+    aso: AsoConfig = setting(factory=AsoConfig, key="aso")
+    proxy_epochs: int = setting(5, key="aso.proxy_epochs", least=1)
+    skip_tune: bool = setting(False, key="tune.skip")
+    classifier_overrides: Hyperparameters | None = setting(None, key="classifier")
+    classifier_input: str = setting("features", key="classifier.input",
+                                    choices=("features", "raw"))
+    seed: int = setting(0, key="run.seed")
+    out_dir: str = setting("runs/out", key="run.out")
     emit_clean: str | None = None
     emit_synthetic: str | None = None
     # the keys config_from_file set, which a preset leaves alone
@@ -80,42 +81,11 @@ class PipelineConfig:
 
 # ---- config file ------------------------------------------------------------
 
-def _as_bool(v: str) -> bool:
-    if v.lower() in ("1", "true", "yes", "on"):
-        return True
-    if v.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {v!r}")
-
-
-def _column_list(v: str) -> list[str]:
-    return [c.strip() for c in v.split(",") if c.strip()]
-
-
-# dotted config key -> (PipelineConfig field, or "gan."/"aso." sub-field; parser).
-# `classifier.<hyperparameter>` is the one prefix rule.
-CONFIG_KEYS = {
-    "data.input": ("input_path", str),
-    "data.label_column": ("label_column", str),
-    "data.socket_columns": ("socket_columns", _column_list),
-    "data.subsample": ("subsample", int),
-    "augment.policy": ("augment_policy", str),
-    "gan.batch_size": ("gan.batch_size", int),
-    "gan.epochs": ("gan.epochs", int),
-    "extractor.blocks": ("extractor_blocks", int),
-    "extractor.base_channels": ("extractor_base_channels", int),
-    "extractor.epochs": ("extractor_epochs", int),
-    "extractor.batch_size": ("extractor_batch_size", int),
-    "aso.population": ("aso.population", int),
-    "aso.iterations": ("aso.iterations", int),
-    "aso.depth_weight": ("aso.depth_weight", float),
-    "aso.multiplier_weight": ("aso.multiplier_weight", float),
-    "aso.proxy_epochs": ("proxy_epochs", int),
-    "tune.skip": ("skip_tune", _as_bool),
-    "classifier.input": ("classifier_input", str),
-    "run.seed": ("seed", int),
-    "run.out": ("out_dir", str),
-}
+# config key -> (field path, parser), from the declarations. CONFIG_KEYS omits the
+# `classifier.<hyperparameter>` keys, which Hyperparameters' own settings give.
+_KEYS = config_keys(PipelineConfig)
+CONFIG_KEYS = {key: (path, parse) for key, (path, parse) in _KEYS.items()
+               if not path.startswith("classifier_overrides.")}
 
 # preset -> {config key: value as a file would hold it}. Desk: minutes-scale
 # settings. Paper: the defaults are full depth already, bar the GAN epochs.
@@ -132,42 +102,39 @@ def set_keys(cfg: PipelineConfig, values: dict[str, str]) -> PipelineConfig:
     overrides, which start from the reference Hyperparameters()."""
     cfg = copy.deepcopy(cfg)
     for key, text in values.items():
-        if key in CONFIG_KEYS:
-            field_path, parse = CONFIG_KEYS[key]
-        elif key.startswith("classifier."):
-            name = key[len("classifier."):]
-            if name not in HYPERPARAMETER_TYPES:
-                raise ValueError(f"unknown classifier override {name!r}")
-            if cfg.classifier_overrides is None:
-                cfg.classifier_overrides = Hyperparameters()
-            field_path, parse = f"classifier_overrides.{name}", HYPERPARAMETER_TYPES[name]
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+        if key not in _KEYS:
+            unknown = "classifier override" if key.startswith("classifier.") else "config key"
+            raise ValueError(f"unknown {unknown} {key.removeprefix('classifier.')!r}")
+        field_path, parse = _KEYS[key]
         parent, _, name = field_path.rpartition(".")
         try:
             value = parse(text)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from exc
+        if parent and getattr(cfg, parent) is None:     # only classifier_overrides
+            setattr(cfg, parent, Hyperparameters())
         setattr(getattr(cfg, parent) if parent else cfg, name, value)
     return cfg
 
 
 def config_from_file(path) -> PipelineConfig:
     """PipelineConfig() with the keys of a flat `dotted.key = value` file set
-    ('#' starts a comment) and recorded in `file_keys`; errors name the line."""
+    ('#' starts a comment) and recorded in `file_keys`. Each line's setting is
+    checked as it is set; errors, undecodable bytes included, name the line."""
     cfg, lines = PipelineConfig(), {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
             try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+                if not line:
+                    continue
                 if "=" not in line:
                     raise ValueError("expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key in lines:
                     raise ValueError(f"{key!r} already set on line {lines[key]}")
                 cfg = set_keys(cfg, {key: value})
+                check_settings(cfg)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             lines[key] = lineno

@@ -25,6 +25,7 @@ from dosids.checkpoint import file_digest, load_arrays, save_arrays
 from dosids.cli import _config_from_args, build_parser, main as cli_main
 from dosids.evalkit import ConfusionMatrix, MetricsReport, per_class_metrics
 from dosids.seeding import substream_seed
+from dosids.settings import config_keys
 from conftest import cluster_dataset
 
 
@@ -194,6 +195,25 @@ def test_sub_config_fields_and_keys_agree():
             if key.startswith(f"{prefix}."):
                 parent, _, name = target.rpartition(".")
                 assert name in {f.name for f in dataclasses.fields(owners[parent])}, key
+
+
+def test_every_config_field_has_exactly_one_key():
+    """The key table is derived from the field declarations: each field, and
+    each setting of a nested config, is set by one key. Only the CLI-flag
+    outputs and file_keys have none. Two declarations of one key would leave
+    a field out of the table."""
+    nested = {"gan": GanConfig, "aso": AsoConfig, "classifier_overrides": Hyperparameters}
+    keyed = []
+    for f in dataclasses.fields(pl.PipelineConfig):
+        if f.name in nested:
+            keyed += [f"{f.name}.{s.name}" for s in dataclasses.fields(nested[f.name])
+                      if s.name != "seed"]
+        elif f.name not in ("emit_clean", "emit_synthetic", "file_keys"):
+            keyed.append(f.name)
+    table = config_keys(pl.PipelineConfig)
+    assert sorted(target for target, _ in table.values()) == sorted(keyed)
+    assert len(table) == len(keyed)
+    assert set(table) == set(pl.CONFIG_KEYS) | {f"classifier.{n}" for n in HYPERPARAMETER_TYPES}
 
 
 def test_readme_config_table_lists_exactly_the_accepted_keys():
@@ -742,10 +762,19 @@ def test_cli_out_of_range_setting_is_a_config_error(tmp_path, capsys, setting):
     """Refused before any stage runs, not by a stage crashing, or a run
     finishing on a silently wrong setting."""
     csv = write_flow_csv(tmp_path / "flows.csv", counts=(30, 30, 30))
+    key = setting.splitlines()[-1].split(" = ")[0]
+    # the setting replaces the template's line for its key, as a key set twice is refused
+    lines = [line for line in CONFIG_TEMPLATE.format(csv=csv, out=tmp_path / "out").splitlines()
+             if not line.startswith(f"{key} = ")] + setting.splitlines()
     cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(CONFIG_TEMPLATE.format(csv=csv, out=tmp_path / "out") + setting + "\n")
+    cfg_path.write_text("\n".join(lines) + "\n")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    # named like a parse error: the file, the line and the key written there
+    known = key in pl.CONFIG_KEYS or key.startswith("classifier.")
+    named = f"{key} must be" if known else f"unknown config key {key!r}"
+    assert f"{cfg_path}:{len(lines)}: {named}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -832,6 +861,14 @@ def test_cli_config_error_names_the_line_and_key(tmp_path, capsys, setting, mess
     cfg_path.write_text(f"run.out = {tmp_path / 'out'}\n{setting}\n")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert f"{cfg_path}:2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_bytes(f"run.out = {tmp_path / 'out'}\n".encode() + b"data.input = caf\xe9.csv\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert f"{cfg_path}:2: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

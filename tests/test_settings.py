@@ -51,8 +51,10 @@ def test_every_config_class_has_its_float_fields_found():
 @pytest.mark.parametrize("config, path", FLOAT_CASES,
                          ids=[f"{type(c).__name__}.{p}" for c, p in FLOAT_CASES])
 def test_check_settings_refuses_non_finite_floats(config, path, bad):
-    """Refused as non-finite, whatever the field's domain, with its dotted path."""
-    with pytest.raises(ValueError, match=rf"^{re.escape(path)} must be finite"):
+    """Refused as non-finite, whatever the field's domain, named by its config
+    key (`classifier.*` for the overrides) or else its dotted path."""
+    name = path.replace("classifier_overrides.", "classifier.")
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite"):
         check_settings(with_value(config, path, bad))
 
 

@@ -4,8 +4,10 @@ Library layout:
 
 - ``flowdata``   CSV ingestion, socket/constant-column removal, one-hot
                  encoding, min-max normalization, stratified splitting
-- ``ndgrad``     float64 reverse-mode autodiff with the 1D primitives the
-                 three networks need
+- ``ndgrad``     reverse-mode autodiff with the 1D primitives the three
+                 networks need; ops compute in their inputs' dtype, the
+                 pipeline's networks in float32 and the gradient checks
+                 in float64
 - ``augment``    per-class DCGAN oversampling of minority attack classes
 - ``resfeat``    1D residual feature extractor (train, freeze, extract)
 - ``alexclf``    reduced 1D AlexNet-style classifier with LRN layers

@@ -71,7 +71,9 @@ def step_decayed_lr(epoch: int, total_epochs: int, initial_lr: float) -> float:
 
 
 class AlexNetClassifier(ng.Module):
-    def __init__(self, feature_dim: int, n_classes: int, seed: int = 0):
+    """Computes in `dtype`; training and prediction cast their rows to it."""
+
+    def __init__(self, feature_dim: int, n_classes: int, seed: int = 0, dtype=np.float64):
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
         if feature_dim < 1:
@@ -103,6 +105,7 @@ class AlexNetClassifier(ng.Module):
         self.dense1 = ng.Dense(self.flat_dim, DENSE_WIDTHS[0], rng=rng)
         self.dense2 = ng.Dense(DENSE_WIDTHS[0], DENSE_WIDTHS[1], rng=rng)
         self.softmax_head = ng.Dense(DENSE_WIDTHS[1], n_classes, rng=rng)
+        self.cast(dtype)
 
     def logits(self, x: ng.Tensor, train: bool,
                rng: np.random.Generator | None = None) -> ng.Tensor:
@@ -142,7 +145,7 @@ def train_classifier(clf: AlexNetClassifier, features: np.ndarray, labels: np.nd
 
     hp.learning_rate is the initial rate of a step-decay schedule."""
     check_settings(hp)
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features, dtype=clf.dtype)
     labels = np.asarray(labels, dtype=np.int64)
     _check_width(clf, features)
     trace = ng.fit(lambda x, rng: clf.logits(x, train=True, rng=rng), clf.parameters(),
@@ -161,7 +164,7 @@ def predict(clf: AlexNetClassifier, features: np.ndarray) -> tuple[np.ndarray, n
     """
     if not clf.trained:
         raise ValueError("classifier has not been trained")
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features, dtype=clf.dtype)
     _check_width(clf, features)
     probs = ng.eval_rows(lambda x: ng.softmax_probs(clf.logits(x, train=False).data),
                          features, ng.EVAL_BATCH, clf.n_classes)

@@ -50,9 +50,10 @@ def _conv_out(length: int, kernel: int) -> int:
 
 
 class Generator(ng.Module):
-    """noise [B, NOISE_DIM] -> rows [B, n_features] in (0, 1)."""
+    """noise [B, NOISE_DIM] -> rows [B, n_features] in (0, 1), computed in
+    `dtype`."""
 
-    def __init__(self, n_features: int, rng):
+    def __init__(self, n_features: int, rng, dtype=np.float64):
         c0, c1, c2 = GENERATOR_CHANNELS
         self.n_features = n_features
         self.base_len = max(1, math.ceil(n_features / 4))
@@ -64,6 +65,7 @@ class Generator(ng.Module):
         self.up2 = ng.ConvTranspose1d(c1, c2, 4, stride=2, padding=1, bias=False, rng=rng)
         self.bn2 = ng.BatchNorm1d(c2)
         self.head = ng.Conv1d(c2, 1, 3, stride=1, padding=1, bias=True, rng=rng)
+        self.cast(dtype)
 
     def __call__(self, z: ng.Tensor, train: bool) -> ng.Tensor:
         b = z.shape[0]
@@ -77,9 +79,10 @@ class Generator(ng.Module):
 
 
 class Discriminator(ng.Module):
-    """rows [B, n_features] -> real-vs-fake probability [B]."""
+    """rows [B, n_features] -> real-vs-fake probability [B], computed in
+    `dtype`."""
 
-    def __init__(self, n_features: int, rng):
+    def __init__(self, n_features: int, rng, dtype=np.float64):
         c1, c2 = DISCRIMINATOR_CHANNELS
         self.n_features = n_features
         k1 = _conv_kernel(n_features)
@@ -92,6 +95,7 @@ class Discriminator(ng.Module):
         self.conv2 = ng.Conv1d(c1, c2, k2, stride=2, padding=1, bias=False, rng=rng)
         self.bn2 = ng.BatchNorm1d(c2)
         self.conv3 = ng.Conv1d(c2, 1, k3, stride=2, padding=1, bias=True, rng=rng)
+        self.cast(dtype)
 
     def __call__(self, x: ng.Tensor, train: bool) -> ng.Tensor:
         b = x.shape[0]
@@ -108,6 +112,7 @@ class GanPair:
     generator: Generator
     discriminator: Discriminator
     n_features: int
+    dtype: np.dtype     # what both networks compute in
     loss_history: list[tuple[float, float]] = field(default_factory=list)  # (gen, disc)
 
 
@@ -126,9 +131,13 @@ def discriminator_loss(d_of_real, d_of_fake) -> ng.Tensor:
 
 def train_dcgan(rows: np.ndarray, cfg: GanConfig) -> GanPair:
     """Alternating single-step updates, one discriminator then one
-    generator step per batch, plain SGD on both."""
+    generator step per batch, plain SGD on both. The generator step scores
+    the batch the discriminator step was given, so each step runs the
+    generator once. Both networks compute in the rows' dtype (float64 when
+    the rows are not floating point)."""
     check_settings(cfg)
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = ng.as_tensor(rows).data
+    dtype = rows.dtype
     n, n_features = rows.shape
     if n < MIN_GAN_ROWS:
         raise ValueError(f"class has {n} rows; adversarial training needs "
@@ -136,9 +145,9 @@ def train_dcgan(rows: np.ndarray, cfg: GanConfig) -> GanPair:
     batch = cfg.batch_size if n >= 2 * cfg.batch_size else max(2, n // 2)
 
     rng_init = substream(cfg.seed, "gan-init")
-    gen = Generator(n_features, rng_init)
-    disc = Discriminator(n_features, rng_init)
-    pair = GanPair(generator=gen, discriminator=disc, n_features=n_features)
+    gen = Generator(n_features, rng_init, dtype)
+    disc = Discriminator(n_features, rng_init, dtype)
+    pair = GanPair(generator=gen, discriminator=disc, n_features=n_features, dtype=dtype)
     opt_g = ng.SGD(gen.parameters(), LEARNING_RATE)
     opt_d = ng.SGD(disc.parameters(), LEARNING_RATE)
 
@@ -148,7 +157,7 @@ def train_dcgan(rows: np.ndarray, cfg: GanConfig) -> GanPair:
         g_losses, d_losses = [], []
         for start in range(0, n - batch + 1, batch):
             xb = ng.Tensor(rows[perm[start:start + batch]])
-            z = ng.Tensor(rng.standard_normal((batch, NOISE_DIM)))
+            z = ng.Tensor(rng.standard_normal((batch, NOISE_DIM)).astype(dtype))
 
             fake = gen(z, train=True)
             d_real = disc(xb, train=True)
@@ -158,7 +167,7 @@ def train_dcgan(rows: np.ndarray, cfg: GanConfig) -> GanPair:
             loss_d.backward()
             opt_d.step()
 
-            loss_g = generator_loss(disc(gen(z, train=True), train=True))
+            loss_g = generator_loss(disc(fake, train=True))
             opt_g.zero_grad()
             loss_g.backward()
             opt_g.step()
@@ -172,8 +181,8 @@ def train_dcgan(rows: np.ndarray, cfg: GanConfig) -> GanPair:
 def sample_rows(pair: GanPair, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` synthetic rows from the trained generator (eval mode)."""
     if count <= 0:
-        return np.empty((0, pair.n_features), dtype=np.float64)
-    z = ng.Tensor(rng.standard_normal((count, NOISE_DIM)))
+        return np.empty((0, pair.n_features), dtype=pair.dtype)
+    z = ng.Tensor(rng.standard_normal((count, NOISE_DIM)).astype(pair.dtype))
     with ng.no_grad():
         out = pair.generator(z, train=False).data
     return np.clip(out, 0.0, 1.0)
@@ -191,7 +200,7 @@ def discriminator_accuracy(pair: GanPair, real_rows: np.ndarray,
                            rng: np.random.Generator) -> float:
     """Real-vs-fake accuracy on held-out rows plus fresh samples; an
     over- or under-powered discriminator drifts away from 0.5."""
-    real = np.asarray(real_rows, dtype=np.float64)
+    real = np.asarray(real_rows, dtype=pair.dtype)
     fake = sample_rows(pair, real.shape[0], rng)
     with ng.no_grad():
         p_real = pair.discriminator(ng.Tensor(real), train=False).data
@@ -209,7 +218,7 @@ def median_targets(d: Dataset) -> dict[int, int]:
 
 def oversample_minorities(d: Dataset, targets: dict, cfg: GanConfig) -> Dataset:
     """Append generated rows until each targeted class, keyed by class
-    index, reaches its count.
+    index, reaches its count. The GANs compute in the features' dtype.
 
     Original rows stay untouched, in order, as a prefix; synthetic rows
     append in ascending class order. Per-class seeds derive from

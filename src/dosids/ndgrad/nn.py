@@ -4,7 +4,9 @@ classifier and the feature extractor.
 
 Weights initialize uniformly in +-sqrt(6 / (fan_in + fan_out)), biases at
 zero. Every layer takes its init generator explicitly so model builds are
-reproducible from a seed.
+reproducible from a seed. Layers build in float64; a network that computes
+in another dtype casts all of its state once, at the end of its build
+(`Module.cast`), so the draws are the same in every dtype.
 """
 
 import numpy as np
@@ -61,9 +63,21 @@ class Module:
         return {path: v.data if isinstance(v, Tensor) else v
                 for path, _, _, v in _walk(self, "")}
 
+    def cast(self, dtype) -> "Module":
+        """Convert every parameter and buffer to `dtype` in place and record
+        it as `self.dtype`, what inputs must be cast to; returns the module."""
+        self.dtype = np.dtype(dtype)
+        for _, owner, attr, value in _walk(self, ""):
+            if isinstance(value, Tensor):
+                value.data = value.data.astype(dtype, copy=False)
+            else:
+                setattr(owner, attr, value.astype(dtype, copy=False))
+        return self
+
     def load_state(self, arrays: dict):
-        """Copy every parameter and buffer from `arrays`; the keys must be
-        exactly this module's names and every shape must match."""
+        """Copy every parameter and buffer from `arrays`, each in the dtype
+        of the slot it fills; the keys must be exactly this module's names
+        and every shape must match."""
         slots = {path: (owner, attr, v) for path, owner, attr, v in _walk(self, "")}
         for key in slots:
             if key not in arrays:
@@ -76,11 +90,10 @@ class Module:
                 raise ValueError(f"state {key!r} has shape {np.shape(value)}, "
                                  f"expected {current.shape}")
         for key, (owner, attr, current) in slots.items():
-            data = np.array(arrays[key], dtype=np.float64)
             if isinstance(current, Tensor):
-                current.data = data
+                current.data = np.array(arrays[key], dtype=current.data.dtype)
             else:
-                setattr(owner, attr, data)
+                setattr(owner, attr, np.array(arrays[key], dtype=current.dtype))
 
 
 class Conv1d(Module):
@@ -154,7 +167,7 @@ def clip_gradients(params, max_norm: float):
     total = np.sqrt(sum(float((p.grad ** 2).sum())
                         for p in params if p.grad is not None))
     if total > max_norm:
-        scale = max_norm / total
+        scale = float(max_norm / total)     # a Python float keeps the gradients' dtype
         for p in params:
             if p.grad is not None:
                 p.grad = p.grad * scale
@@ -199,10 +212,11 @@ def fit(logits, params, rows, labels, epochs: int, batch_size: int,
 def eval_rows(forward, rows, batch_size: int, width: int) -> np.ndarray:
     """`forward(x)` over `rows` [n, features] in batches of `batch_size`,
     each fed as a [batch, 1, features] Tensor with no graph recorded;
-    returns the [n, width] concatenation, row order kept."""
+    returns the [n, width] concatenation, row order kept, and for no rows
+    an empty array of the rows' dtype."""
     parts = []
     with no_grad():
         for start in range(0, rows.shape[0], batch_size):
             parts.append(forward(Tensor(rows[start:start + batch_size][:, None, :])))
     return (np.concatenate(parts, axis=0) if parts
-            else np.empty((0, width), dtype=np.float64))
+            else np.empty((0, width), dtype=rows.dtype))

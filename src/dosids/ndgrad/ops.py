@@ -7,7 +7,7 @@ numpy forward, single backward closure) to keep graphs small.
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, make_from_op, _accumulate
+from .tensor import Tensor, as_tensor, make_from_op, _accumulate, _as_array
 
 LEAKY_SLOPE = 0.2     # DCGAN's LeakyReLU slope
 BN_EPS = 1e-5         # batch norm's variance floor
@@ -27,7 +27,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor) -> Tensor:
-    factor = np.where(x.data > 0, 1.0, LEAKY_SLOPE)
+    factor = np.where(x.data > 0, 1.0, LEAKY_SLOPE).astype(x.data.dtype, copy=False)
     out_data = x.data * factor
 
     def bw(g):
@@ -91,7 +91,7 @@ def _scatter_taps(taps: np.ndarray, stride: int, full: int) -> np.ndarray:
     """Adjoint of _sliding_patches: sum taps [B, C, K, T] into zeros
     [B, C, full], tap i of step t landing at position i + stride * t."""
     b, c, k, t = taps.shape
-    out = np.zeros((b, c, full), dtype=np.float64)
+    out = np.zeros((b, c, full), dtype=taps.dtype)
     for i in range(k):
         out[:, :, i:i + stride * (t - 1) + 1:stride] += taps[:, :, i, :]
     return out
@@ -210,9 +210,9 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
     (exponential update); eval mode normalizes with `running` alone.
     """
     if x.ndim == 2:
-        axes, pshape = (0,), (1, -1)
+        pshape, per_channel, dot = (1, -1), "bc->c", "bc,bc->c"
     elif x.ndim == 3:
-        axes, pshape = (0, 2), (1, -1, 1)
+        pshape, per_channel, dot = (1, -1, 1), "bcl->c", "bcl,bcl->c"
     else:
         raise ValueError(f"batch_norm1d expects 2D or 3D input, got {x.ndim}D")
     gam = gamma.data.reshape(pshape)
@@ -220,12 +220,11 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
 
     n = x.size // x.shape[1]             # values per channel
     if train:
-        # np.mean and np.var's own arithmetic, with the centred input
-        # computed once and reused for xhat
-        mu = np.add.reduce(x.data, axes, keepdims=True) / n
-        xc = x.data - mu
-        var = np.add.reduce(xc * xc, axes) / n  # biased, matching the backward below
-        running.mean = (1.0 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mu.reshape(-1)
+        # two passes: the mean, then the sum of squares about it
+        mu = np.einsum(per_channel, x.data) / n
+        xc = x.data - mu.reshape(pshape)
+        var = np.einsum(dot, xc, xc) / n    # biased, matching the backward below
+        running.mean = (1.0 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mu
         running.var = (1.0 - BN_MOMENTUM) * running.var + BN_MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var.reshape(pshape) + BN_EPS)
         xhat = xc * inv_std
@@ -235,17 +234,19 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
     out_data = gam * xhat + bet
 
     def bw(g):
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=axes))
-        if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=axes))
+        # the two per-channel sums give the gamma and beta gradients and,
+        # in train mode, dx = gamma / std * (g - mean(g) - xhat * mean(g * xhat))
+        sum_g = np.einsum(per_channel, g)
+        sum_gx = np.einsum(dot, g, xhat)
+        _accumulate(gamma, sum_gx)
+        _accumulate(beta, sum_g)
         if x.requires_grad:
-            gg = g * gam
+            scale = gam * inv_std
             if train:
-                dx = inv_std * (gg - np.add.reduce(gg, axes, keepdims=True) / n
-                                - xhat * (np.add.reduce(gg * xhat, axes, keepdims=True) / n))
+                dx = scale * (g - (sum_g / n).reshape(pshape)
+                              - xhat * (sum_gx / n).reshape(pshape))
             else:
-                dx = gg * inv_std
+                dx = g * scale
             _accumulate(x, dx)
 
     return make_from_op(out_data, (x, gamma, beta), bw)
@@ -276,13 +277,13 @@ def lrn(x: Tensor, size: int = 5, alpha: float = 1e-4, beta: float = 0.75,
     if k <= 0:
         raise ValueError("additive constant k must be > 0")
     half = size // 2
-    sq_sum = _window_sum_channels(x.data ** 2, half)
+    sq_sum = _window_sum_channels(x.data * x.data, half)
     base = k + alpha * sq_sum
     scale = base ** (-beta)
     out_data = x.data * scale
 
     def bw(g):
-        inner = g * x.data * base ** (-beta - 1.0)
+        inner = g * x.data * (scale / base)
         dx = g * scale - 2.0 * alpha * beta * x.data * _window_sum_channels(inner, half)
         _accumulate(x, dx)
 
@@ -326,21 +327,25 @@ def _max_pool1d_tiled(x: Tensor, window: int) -> Tensor:
     tiles = x.data[:, :, :t * window].reshape(b, c, t, window)
     # argmax over the window as a comparison chain, which is faster for the
     # short windows used here: the first maximum wins, and the first NaN
-    # beats every number, as in argmax
+    # beats every number, as in argmax. takes[i - 1] marks where tap i
+    # replaced the maximum so far.
     out_data = tiles[..., 0]
-    arg = np.zeros(out_data.shape, dtype=np.intp)
+    takes = []
     for i in range(1, window):
         cand = tiles[..., i]
         take = ~(cand <= out_data) & (out_data == out_data)
         out_data = np.where(take, cand, out_data)
-        arg[take] = i
-    arg = arg[..., None]                                 # [B, C, T, 1]
+        takes.append(take)
 
     def bw(g):
         dx = np.zeros_like(x.data)
-        # 0.0 + g, as a scatter-add into zeros gives: -0.0 becomes +0.0
-        np.put_along_axis(dx[:, :, :t * window].reshape(b, c, t, window), arg,
-                          0.0 + g[..., None], axis=3)
+        tiled = dx[:, :, :t * window].reshape(b, c, t, window)
+        g = 0.0 + g                      # as a scatter-add into zeros: -0.0 becomes +0.0
+        free = np.ones(g.shape, dtype=bool)  # no later tap took the maximum
+        for i in range(window - 1, 0, -1):
+            np.copyto(tiled[..., i], g, where=takes[i - 1] & free)
+            free &= ~takes[i - 1]
+        np.copyto(tiled[..., 0], g, where=free)
         _accumulate(x, dx)
 
     return make_from_op(out_data, (x,), bw)
@@ -401,7 +406,7 @@ def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None
         return x
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    keep = ((rng.random(x.shape) >= rate) / (1.0 - rate)).astype(x.data.dtype, copy=False)
     out_data = x.data * keep
 
     def bw(g):
@@ -442,7 +447,7 @@ def softmax_cross_entropy(logits: Tensor, targets) -> tuple[Tensor, np.ndarray]:
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
     """Plain (non-differentiable) stabilized softmax for inference."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = _as_array(logits)
     zmax = z.max(axis=1, keepdims=True)
     exp = np.exp(z - zmax)
     return exp / exp.sum(axis=1, keepdims=True)

@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray plus an optional gradient buffer of the
-same shape. Every operation that involves a gradient-requiring input
+A Tensor wraps a floating-point ndarray plus an optional gradient buffer
+of the same shape. Every operation that involves a gradient-requiring input
 records a backward closure and its parent tensors; ``backward()`` on a
 result walks the recorded graph in reverse topological order and
 accumulates gradients with ``+=`` semantics, so diamond patterns such as
@@ -13,8 +13,11 @@ saved) and its parents, and keeps only ``.data``. Leaves, the tensors
 with no closure such as parameters, keep their accumulated ``.grad``. A
 second ``backward()`` that reaches a released node raises ``ValueError``.
 
-All computation is float64: the finite-difference checks in
-``dosids.ndgrad.gradcheck`` rely on it.
+Every op computes in its inputs' dtype: float32 tensors give float32
+results and gradients, float64 ones float64. A Python number combined with
+a tensor takes the tensor's dtype. Data that is not floating point becomes
+float64. The pipeline builds its networks in float32; the tests and the
+finite-difference checks in ``dosids.ndgrad.gradcheck`` run in float64.
 
 Inside ``with no_grad():`` no op records a graph, so an inference
 forward keeps no closures or intermediate arrays alive.
@@ -29,7 +32,8 @@ _RELEASED = object()  # the closure slot of a node a backward() walk has spent
 
 
 def _as_array(data) -> np.ndarray:
-    return np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
+    return data if data.dtype.kind == "f" else data.astype(np.float64)
 
 
 class Tensor:
@@ -94,8 +98,14 @@ class Tensor:
 
     # ---- elementwise arithmetic ---------------------------------------
 
+    def _operand(self, other) -> "Tensor":
+        """`other` as a Tensor; a Python number takes this tensor's dtype."""
+        if isinstance(other, (int, float)):
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return as_tensor(other)
+
     def __add__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def bw(g):
@@ -109,7 +119,7 @@ class Tensor:
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def bw(g):
@@ -126,10 +136,10 @@ class Tensor:
         return self * (-1.0)
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def log(self):
         out_data = np.log(self.data)

@@ -4,12 +4,14 @@ evaluate -> report.
 Every stage is a pure function of the config fields and upstream stages
 that STAGE_TABLE lists for it, so stages can be re-run independently and
 a full run is exactly the stage sequence; `run_stage` refuses upstream
-outputs made under another config. All randomness derives from the master
-seed through named substreams; re-running a config reproduces every
-emitted number.
+outputs made under another config or by other code. All randomness derives
+from the master seed through named substreams; re-running a config
+reproduces every emitted number. The stages build their networks in
+float32, the precision their matrices and checkpoints are stored in.
 """
 
 import copy
+import functools
 import hashlib
 import json
 import logging
@@ -17,6 +19,7 @@ import os
 import shutil
 import time
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,6 +38,7 @@ from .settings import check_settings, config_keys, setting
 log = logging.getLogger(__name__)
 
 TRAIN_FRACTION = 0.7    # stratified train share of the ingested rows
+NETWORK_DTYPE = np.float32  # what every stage's networks compute in
 
 
 class StageError(Exception):
@@ -245,7 +249,9 @@ def stage_augment(cfg: PipelineConfig, out: str) -> dict:
 
     targets = aug.median_targets(train) if cfg.augment_policy == "median" else {}
     gan_cfg = replace(cfg.gan, seed=substream_seed(cfg.seed, "gan"))
-    augmented = aug.oversample_minorities(train, targets, gan_cfg)
+    # the GANs compute in the dtype of the rows they are given
+    augmented = aug.oversample_minorities(
+        replace(train, features=train.features.astype(NETWORK_DTYPE)), targets, gan_cfg)
     after = _census(augmented.labels, augmented.class_names)
 
     _save_matrix(os.path.join(out, "train_aug.bin"),
@@ -276,7 +282,8 @@ def stage_extract(cfg: PipelineConfig, out: str) -> dict:
     else:
         f = build_feature_extractor(train.n_features, blocks=cfg.extractor_blocks,
                                     base_channels=cfg.extractor_base_channels,
-                                    seed=substream_seed(cfg.seed, "extractor"))
+                                    seed=substream_seed(cfg.seed, "extractor"),
+                                    dtype=NETWORK_DTYPE)
         f = train_feature_extractor(f, train, epochs=cfg.extractor_epochs,
                                     lr=resfeat.LEARNING_RATE,
                                     seed=substream_seed(cfg.seed, "extractor"),
@@ -312,7 +319,8 @@ def stage_tune(cfg: PipelineConfig, out: str) -> dict:
 
         def trainable(hp: Hyperparameters) -> float:
             proxy = replace(hp, epochs=cfg.proxy_epochs)
-            clf = build_classifier(features.shape[1], n_classes, seed=proxy_seed)
+            clf = build_classifier(features.shape[1], n_classes, seed=proxy_seed,
+                                   dtype=NETWORK_DTYPE)
             clf, _ = train_classifier(clf, features[tr_idx], labels[tr_idx], proxy,
                                       seed=proxy_seed)
             pred, _ = predict(clf, features[val_idx])
@@ -337,7 +345,7 @@ def stage_train(cfg: PipelineConfig, out: str) -> dict:
         _read_json(_path(cfg, "tune", "hyperparams.json"))["hyperparameters"])
 
     clf = build_classifier(features.shape[1], n_classes,
-                           seed=substream_seed(cfg.seed, "classifier"))
+                           seed=substream_seed(cfg.seed, "classifier"), dtype=NETWORK_DTYPE)
     clf, trace = train_classifier(clf, features, labels, hp,
                                   seed=substream_seed(cfg.seed, "classifier"))
     save_arrays(os.path.join(out, "classifier.ckpt"), clf.state_arrays())
@@ -360,7 +368,7 @@ def stage_evaluate(cfg: PipelineConfig, out: str) -> dict:
     class_names = _class_names(cfg)
 
     clf = build_classifier(info["feature_dim"], info["n_classes"],
-                           seed=substream_seed(cfg.seed, "classifier"))
+                           seed=substream_seed(cfg.seed, "classifier"), dtype=NETWORK_DTYPE)
     clf.load_state(load_arrays(_path(cfg, "train", "classifier.ckpt")))
     clf.trained = True
     pred, _ = predict(clf, features)
@@ -438,14 +446,28 @@ def _input_digest(path) -> str | None:
     return _INPUT_DIGESTS[key]
 
 
+@functools.cache
+def code_digest() -> str:
+    """sha256 over the package's .py files, each path relative to the
+    package and its bytes, sorted by that path; computed once per process.
+    Any edit to the package makes every stage's outputs stale."""
+    root = Path(__file__).parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py"), key=lambda p: p.relative_to(root).as_posix()):
+        h.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        h.update(file_digest(path).encode("ascii"))
+    return h.hexdigest()
+
+
 def stage_record(cfg: PipelineConfig, stage: str) -> dict:
     """What `stage` would record under `cfg`: the config fields it reads (for
-    the input file, its sha256 too), the fingerprints its upstream stages
-    recorded, and a sha256 over both."""
+    the input file, its sha256 too), the sha256 of the code, the fingerprints
+    its upstream stages recorded, and a sha256 over all of them."""
     config = asdict(cfg)
     fields = {name: config[name] for name in STAGE_TABLE[stage].fields}
     if "input_path" in fields:
         fields["input_sha256"] = _input_digest(cfg.input_path)
+    fields["code_sha256"] = code_digest()
     record = {"config": fields,
               "upstream": {up: _recorded(cfg, up) for up in _upstream(cfg, stage)}}
     blob = json.dumps(record, sort_keys=True).encode("utf-8")

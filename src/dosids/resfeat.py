@@ -48,10 +48,11 @@ class ResidualBlock(ng.Module):
 
 class FeatureExtractor(ng.Module):
     """Frozen after training; extraction is then a pure function. The
-    feature vector is as wide as the final block."""
+    feature vector is as wide as the final block. Computes in `dtype`, as
+    does the temporary head that training attaches."""
 
     def __init__(self, input_features: int, blocks: int = 16, base_channels: int = 16,
-                 seed: int = 0):
+                 seed: int = 0, dtype=np.float64):
         if blocks < 1:
             raise ValueError("need at least one residual block")
         if input_features < 1:
@@ -78,6 +79,7 @@ class FeatureExtractor(ng.Module):
             c_in = c_out
 
         self.feature_dim = c_in
+        self.cast(dtype)
 
     def forward(self, x: ng.Tensor, train: bool,
                 rng: np.random.Generator | None = None) -> ng.Tensor:
@@ -107,7 +109,7 @@ def train_feature_extractor(f: FeatureExtractor, train_ds, epochs: int, lr: floa
     """
     if f.frozen:
         raise ValueError("extractor is already frozen")
-    features = np.asarray(train_ds.features, dtype=np.float64)
+    features = np.asarray(train_ds.features, dtype=f.dtype)
     labels = np.asarray(train_ds.labels, dtype=np.int64)
     if features.shape[1] != f.input_features:
         raise ValueError(f"extractor was built for {f.input_features} features, "
@@ -118,7 +120,7 @@ def train_feature_extractor(f: FeatureExtractor, train_ds, epochs: int, lr: floa
     f.train_history = []
     if epochs > 0:
         head = ng.Dense(f.feature_dim, int(labels.max()) + 1,
-                        rng=substream(seed, "resfeat-head"))
+                        rng=substream(seed, "resfeat-head")).cast(f.dtype)
         f.train_history = ng.fit(lambda x, rng: head(f.forward(x, train=True, rng=rng)),
                                  f.parameters() + head.parameters(), features, labels,
                                  epochs, batch_size, substream(seed, "resfeat-train"),
@@ -131,7 +133,7 @@ def extract_features(f: FeatureExtractor, d, batch_size: int = ng.EVAL_BATCH) ->
     """Eval-mode forward over all rows; [rows, feature_dim], order kept."""
     if not f.frozen:
         raise ValueError("freeze the extractor (train_feature_extractor) first")
-    features = np.asarray(d.features if hasattr(d, "features") else d, dtype=np.float64)
+    features = np.asarray(d.features if hasattr(d, "features") else d, dtype=f.dtype)
     if features.shape[1] != f.input_features:
         raise ValueError(f"extractor was built for {f.input_features} features, "
                          f"got {features.shape[1]}")

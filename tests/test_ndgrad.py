@@ -238,13 +238,25 @@ def reference_batch_norm(x, gam, bet, mean, var, train, g, eps=1e-5, momentum=0.
     return (gam * xhat + bet, mean, var, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
 
 
-@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-@pytest.mark.parametrize("shape", [(1, 4), (2, 4), (3, 4), (32, 16), (1, 3, 5), (2, 8, 5),
-                                   (32, 32, 4), (32, 16, 13)])
-@pytest.mark.parametrize("offset", [0.0, 1e4])
-def test_batch_norm_matches_mean_var_reference(shape, train, offset):
-    """Byte for byte, sign of zero included: output, running statistics
-    and all three gradients."""
+BN_SHAPES = [(1, 4), (2, 4), (3, 4), (32, 16), (1, 3, 5), (2, 8, 5), (32, 32, 4), (32, 16, 13)]
+# 16 unit roundoffs, scaled by each case's conditioning (below): batch_norm1d
+# sums with np.einsum and builds its backward from two sums, so it rounds
+# differently from np.mean / np.var, but only by a few roundoffs per sum
+BN_ROUNDOFFS = 16
+
+
+def batch_norm_errors(shape, train, offset, dtype):
+    """Each of batch_norm1d's six results (output, running mean and variance,
+    x, gamma and beta gradients) in `dtype`, against reference_batch_norm in
+    float64 on the same `dtype`-rounded inputs: (error, allowed) pairs.
+
+    An error is the largest absolute difference. The allowed error is
+    BN_ROUNDOFFS roundoffs of `dtype` times the result's scale times the
+    condition number of centring, 1 + max|x| / std: with offset 1e4 the
+    centred input keeps about four fewer digits. The scale of the x
+    gradient is max|g * gamma| / std, the size of the terms that cancel in
+    it (with two rows per channel they cancel nearly exactly); any other
+    result's scale is its largest magnitude."""
     rng = RNG(57)
     channels = shape[1]
     data = rng.normal(size=shape) * 3.0 + offset
@@ -252,7 +264,9 @@ def test_batch_norm_matches_mean_var_reference(shape, train, offset):
     g[g > 1.0] = -0.0
     gam, bet = rng.uniform(0.5, 1.5, channels), rng.normal(size=channels)
     mean, var = rng.normal(size=channels), rng.uniform(0.5, 2.0, channels)
-    want = reference_batch_norm(data, gam, bet, mean, var, train, g)
+    data, g, gam, bet, mean, var = (a.astype(dtype) for a in (data, g, gam, bet, mean, var))
+    want = reference_batch_norm(*(a.astype(np.float64) for a in (data, gam, bet, mean, var)),
+                                train, g.astype(np.float64))
 
     x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (data, gam, bet))
     running = ng.RunningStats(channels)
@@ -260,7 +274,37 @@ def test_batch_norm_matches_mean_var_reference(shape, train, offset):
     out = ng.batch_norm1d(x, gamma, beta, running, train)
     out.backward(g)
     got = (out.data, running.mean, running.var, x.grad, gamma.grad, beta.grad)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert all(a.dtype == dtype for a in got)
+
+    axes = (0,) if len(shape) == 2 else (0, 2)
+    used_var = data.astype(np.float64).var(axis=axes) if train else var.astype(np.float64)
+    inv_std = 1.0 / np.sqrt(used_var.min() + 1e-5)
+    cond = 1.0 + np.abs(data).max() * inv_std
+    scales = [np.abs(a).max() for a in want]
+    scales[3] = np.abs(g.astype(np.float64) * gam.reshape((1, -1) + (1,) * (len(shape) - 2))
+                       ).max() * inv_std
+    roundoff = BN_ROUNDOFFS * np.finfo(dtype).eps * cond
+    return [(np.abs(a - r).max(), roundoff * scale) for a, r, scale in zip(got, want, scales)]
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("shape", BN_SHAPES)
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_batch_norm_matches_mean_var_reference(shape, train, offset):
+    """Output, running statistics and all three gradients, each within a
+    few float64 roundoffs of the np.mean / np.var reference."""
+    for i, (error, allowed) in enumerate(batch_norm_errors(shape, train, offset, np.float64)):
+        assert error <= allowed, (i, error, allowed)
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("shape", BN_SHAPES)
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_batch_norm_float32_matches_float64_reference(shape, train, offset):
+    """Float32 batch norm stays float32 and within a few float32 roundoffs
+    of the float64 reference on the same inputs."""
+    for i, (error, allowed) in enumerate(batch_norm_errors(shape, train, offset, np.float32)):
+        assert error <= allowed, (i, error, allowed)
 
 
 # ---- batch norm -------------------------------------------------------------

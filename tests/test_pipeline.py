@@ -684,6 +684,29 @@ def test_rewritten_input_is_refused_until_rerun(tiny_run, capsys):
     assert "re-run stage 'extract'" in capsys.readouterr().err
 
 
+def test_outputs_of_other_code_are_refused_until_rerun(tiny_run, monkeypatch, capsys):
+    """Every stage records the package's code digest, so after any edit to
+    the code each upstream stage must re-run, in order, before `train`
+    accepts it."""
+    cfg_path, tmp_path = tiny_run
+    cfg = pl.config_from_file(cfg_path)
+    pl.run_pipeline(cfg)
+    record = json.loads((tmp_path / "out/extract/stage.json").read_text())
+    assert record["config"]["code_sha256"] == pl.code_digest()
+
+    monkeypatch.setattr(pl, "code_digest", lambda: "0" * 64)
+    assert cli_main(["train", "--config", str(cfg_path)]) == 14
+    assert "re-run stage 'ingest'" in capsys.readouterr().err
+    for rerun, refused in (("ingest", "extract"), ("augment", "extract"),
+                           ("extract", "tune")):
+        pl.run_stage(cfg, rerun)
+        with pytest.raises(pl.StageError, match=f"re-run stage '{refused}'") as err:
+            pl.run_stage(cfg, "train")
+        assert err.value.code == 14
+    pl.run_stage(cfg, "tune")
+    pl.run_stage(cfg, "train")
+
+
 def test_unfinished_stage_is_refused(tiny_run, monkeypatch):
     """stage.json is written after the stage's outputs, so a stage that
     was cut short counts as not run."""

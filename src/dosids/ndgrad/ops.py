@@ -3,6 +3,13 @@
 Shape convention: batched sequence tensors are [batch, channels, length],
 flat feature tensors are [batch, features]. Each op is fused (single
 numpy forward, single backward closure) to keep graphs small.
+
+Inside, the convolutions copy their padded input length-major, [length,
+batch, channels], and its windows into rows (step, batch) by columns (tap,
+channel), so the forward and each gradient are one matrix product over
+batch * steps rows. Their results, and LRN's direct window sums, differ in
+the last ulp from per-batch products and cumulative sums. Selections (leaky
+ReLU, sigmoid, the tiled max-pool) work on bits and match np.where exactly.
 """
 
 import numpy as np
@@ -16,6 +23,23 @@ BN_MOMENTUM = 0.1     # weight of each batch in the running statistics
 
 # ---- activations --------------------------------------------------------
 
+def _int_view(a: np.ndarray) -> np.ndarray:
+    return a.view(f"i{a.itemsize}")
+
+
+def _mask(take: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Booleans as integers of like's width: all ones where true, else 0."""
+    return np.negative(take, dtype=f"i{like.itemsize}")
+
+
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.where(mask, a, b) for floats of one dtype, at a fraction of its cost."""
+    a_bits, b_bits = _int_view(a), _int_view(b)
+    out = mask & (a_bits ^ b_bits)
+    out ^= b_bits
+    return out.view(b.dtype)
+
+
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     out_data = x.data * mask
@@ -27,7 +51,8 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor) -> Tensor:
-    factor = np.where(x.data > 0, 1.0, LEAKY_SLOPE).astype(x.data.dtype, copy=False)
+    one, slope = (np.array(v, dtype=x.data.dtype) for v in (1.0, LEAKY_SLOPE))
+    factor = _select(_mask(x.data > 0, x.data), one, slope)
     out_data = x.data * factor
 
     def bw(g):
@@ -48,7 +73,8 @@ def tanh(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     e = np.exp(-np.abs(d))
-    out_data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    p = 1.0 + e
+    out_data = _select(_mask(d >= 0, d), 1.0 / p, e / p)
 
     def bw(g):
         _accumulate(x, g * out_data * (1.0 - out_data))
@@ -66,52 +92,39 @@ def activation(x: Tensor, kind: str) -> Tensor:
         raise ValueError(f"unknown activation kind {kind!r}") from None
 
 
-# ---- convolution ---------------------------------------------------------
+# ---- convolution (length-major im2col, see the module docstring) ----------
 
-def _pad_length(a: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return a
+def _length_major(a: np.ndarray, padding: int, full: int) -> np.ndarray:
+    """[B, C, L] -> zeros [full, B, C] holding a at rows padding .. padding + L."""
     b, c, length = a.shape
-    out = np.zeros((b, c, length + 2 * padding), dtype=a.dtype)
-    out[:, :, padding:padding + length] = a
+    out = np.zeros((full, b, c), dtype=a.dtype)
+    out[padding:padding + length] = a.transpose(2, 0, 1)
     return out
 
 
-def _sliding_patches(a: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """Strided view [B, C, window, steps] over the last axis. No copy."""
-    b, c, length = a.shape
-    steps = (length - window) // stride + 1
-    s0, s1, s2 = a.strides
-    return np.lib.stride_tricks.as_strided(
-        a, shape=(b, c, window, steps), strides=(s0, s1, s2, s2 * stride), writeable=False
-    )
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """[L, B, C] -> contiguous [B, C, L]."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0))
 
 
-def _scatter_taps(taps: np.ndarray, stride: int, full: int) -> np.ndarray:
-    """Adjoint of _sliding_patches: sum taps [B, C, K, T] into zeros
-    [B, C, full], tap i of step t landing at position i + stride * t."""
-    b, c, k, t = taps.shape
-    out = np.zeros((b, c, full), dtype=taps.dtype)
+def _patch_rows(ap: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The windows of a length-major ap [Lp, B, C] as rows [(t, b), (k, c)], copied."""
+    lp, b, c = ap.shape
+    t = (lp - k) // stride + 1
+    s0, s1, s2 = ap.strides
+    patches = np.lib.stride_tricks.as_strided(
+        ap, shape=(t, b, k, c), strides=(s0 * stride, s1, s0, s2), writeable=False)
+    return patches.reshape(t * b, k * c)
+
+
+def _scatter_rows(taps: np.ndarray, stride: int, full: int) -> np.ndarray:
+    """Adjoint of _patch_rows: add taps [T, B, K, C] into zeros [full, B, C],
+    tap i of step t landing at row i + stride * t, taps in order."""
+    t, b, k, c = taps.shape
+    out = np.zeros((full, b, c), dtype=taps.dtype)
     for i in range(k):
-        out[:, :, i:i + stride * (t - 1) + 1:stride] += taps[:, :, i, :]
+        out[i:i + stride * (t - 1) + 1:stride] += taps[:, :, i, :]
     return out
-
-
-def _weight_grad(g: np.ndarray, patches: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum over b and t of g[b, :, t] outer the patch columns, as [G, C*K].
-
-    Byte for byte np.tensordot(g, patches, axes=([0, 2], [0, 3])), where
-    patches is a _sliding_patches view [B, C, K, T] and cols its im2col
-    reshape [B, C*K, T]. tensordot copies the patches into rows [B*T, C*K],
-    except possibly where the B and T axes merge (batch 1, one step, or a
-    batch stride of exactly T strides): there it can hand BLAS a strided
-    view, whose result may differ in the last ulp, so tensordot runs as
-    is. Elsewhere the same rows come from cols, saving a second gather."""
-    b, _, _, t = patches.shape
-    if b == 1 or t == 1 or patches.strides[0] == t * patches.strides[3]:
-        return np.tensordot(g, patches, axes=([0, 2], [0, 3])).reshape(g.shape[1], -1)
-    rows = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(b * t, cols.shape[1])
-    return np.dot(g.transpose(1, 0, 2).reshape(g.shape[1], b * t), rows)
 
 
 def conv1d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0,
@@ -123,30 +136,28 @@ def conv1d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0,
         raise ValueError(f"channel mismatch: input has {c_in}, kernel expects {c_in_w}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if k > length + 2 * padding:
-        raise ValueError(f"kernel {k} longer than padded input {length + 2 * padding}")
+    full = length + 2 * padding
+    if k > full:
+        raise ValueError(f"kernel {k} longer than padded input {full}")
 
-    xp = _pad_length(x.data, padding)
-    patches = _sliding_patches(xp, k, stride)                # [B, Cin, K, T]
-    t = patches.shape[3]
-    w2 = weight.data.reshape(c_out, c_in * k)
-    cols = patches.reshape(b, c_in * k, t)                    # im2col [B, Cin*K, T]
-    out_data = np.matmul(w2, cols)                            # [B, Cout, T]
+    rows = _patch_rows(_length_major(x.data, padding, full), k, stride)   # [T*B, K*Cin]
+    t = rows.shape[0] // b
+    w2 = weight.data.transpose(2, 1, 0).reshape(k * c_in, c_out)         # [(k, c), o]
+    out_rows = rows @ w2                                                  # [T*B, Cout]
     if bias is not None:
-        out_data = out_data + bias.data[None, :, None]
+        out_rows += bias.data
+    out_data = _batch_major(out_rows.reshape(t, b, c_out))
 
     def bw(g):
+        g_rows = g.transpose(2, 0, 1).reshape(t * b, c_out)
         if weight.requires_grad:
-            # dW[o,c,k] = sum_{b,t} g[b,o,t] * patches[b,c,k,t]
-            _accumulate(weight, _weight_grad(g, patches, cols).reshape(weight.shape))
+            dw2 = (rows.T @ g_rows).reshape(k, c_in, c_out)
+            _accumulate(weight, dw2.transpose(2, 1, 0).copy())
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2)))
+            _accumulate(bias, g_rows.sum(axis=0))
         if x.requires_grad:
-            # dpatches[b,(c,k),t] = W2^T @ g
-            dpatches = np.matmul(w2.T, g).reshape(b, c_in, k, t)
-            dxp = _scatter_taps(dpatches, stride, xp.shape[2])
-            dx = dxp[:, :, padding:padding + length] if padding else dxp
-            _accumulate(x, dx)
+            dxp = _scatter_rows((g_rows @ w2.T).reshape(t, b, k, c_in), stride, full)
+            _accumulate(x, _batch_major(dxp[padding:padding + length]))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_from_op(out_data, parents, bw)
@@ -168,23 +179,22 @@ def conv_transpose1d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 
     if out_len < 1:
         raise ValueError("padding swallows the whole output")
 
-    # contrib[b,(o,k),l] = W2^T @ x with W2 = weight[(c),(o,k)]
-    w2 = weight.data.reshape(c_in, c_out * k)
-    contrib = np.matmul(w2.T, x.data).reshape(b, c_out, k, length)
-    out_full = _scatter_taps(contrib, stride, full)
-    out_data = out_full[:, :, padding:padding + out_len].copy()
+    # conv1d's input gradient run forward: each input row scatters K taps
+    x_rows = x.data.transpose(2, 0, 1).reshape(length * b, c_in)         # [(l, b), c]
+    w2 = weight.data.transpose(0, 2, 1).reshape(c_in, k * c_out)         # [c, (k, o)]
+    taps = (x_rows @ w2).reshape(length, b, k, c_out)
+    out_rows = _scatter_rows(taps, stride, full)[padding:padding + out_len]
     if bias is not None:
-        out_data = out_data + bias.data[None, :, None]
+        out_rows += bias.data
+    out_data = _batch_major(out_rows)
 
     def bw(g):
-        gpatches = _sliding_patches(_pad_length(g, padding), k, stride)  # [B, Cout, K, L]
-        gcols = gpatches.reshape(b, c_out * k, length)
+        g_rows = _patch_rows(_length_major(g, padding, full), k, stride)   # [L*B, K*Cout]
         if x.requires_grad:
-            # dx[b,c,l] = sum_{o,k} gpatches[b,o,k,l] * weight[c,o,k]
-            _accumulate(x, np.matmul(w2, gcols))
+            _accumulate(x, _batch_major((g_rows @ w2.T).reshape(length, b, c_in)))
         if weight.requires_grad:
-            # dW[c,o,k] = sum_{b,l} x[b,c,l] * gpatches[b,o,k,l]
-            _accumulate(weight, _weight_grad(x.data, gpatches, gcols).reshape(weight.shape))
+            dw2 = (x_rows.T @ g_rows).reshape(c_in, k, c_out)
+            _accumulate(weight, dw2.transpose(0, 2, 1).copy())
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2)))
 
@@ -253,15 +263,14 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
 
 
 def _window_sum_channels(a: np.ndarray, half: int) -> np.ndarray:
-    """Sum over the channel window [c-half, c+half], clipped to the edges."""
-    t = a.shape[1]
-    cs = np.cumsum(a, axis=1)
-    out = np.empty_like(cs)
-    inner = max(t - half, 0)             # channels whose window ends inside
-    out[:, :inner] = cs[:, half:]
-    out[:, inner:] = cs[:, t - 1:]
-    if half + 1 < t:
-        out[:, half + 1:] -= cs[:, :t - half - 1]
+    """Sum over the channel window [c-half, c+half], clipped to the edges:
+    the direct sum of the window's shifted slices of a zero-padded copy."""
+    b, c, length = a.shape
+    padded = np.zeros((b, c + 2 * half, length), dtype=a.dtype)
+    padded[:, half:half + c] = a
+    out = padded[:, :c].copy()
+    for i in range(1, 2 * half + 1):
+        out += padded[:, i:i + c]
     return out
 
 
@@ -291,6 +300,16 @@ def lrn(x: Tensor, size: int = 5, alpha: float = 1e-4, beta: float = 0.75,
 
 
 # ---- pooling ---------------------------------------------------------------
+
+def _sliding_patches(a: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Strided view [B, C, window, steps] over the last axis. No copy."""
+    b, c, length = a.shape
+    steps = (length - window) // stride + 1
+    s0, s1, s2 = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, shape=(b, c, window, steps), strides=(s0, s1, s2, s2 * stride), writeable=False
+    )
+
 
 def max_pool1d(x: Tensor, window: int, stride: int) -> Tensor:
     length = x.shape[2]
@@ -324,28 +343,28 @@ def _max_pool1d_tiled(x: Tensor, window: int) -> Tensor:
     A trailing remainder shorter than the window is dropped."""
     b, c, length = x.shape
     t = length // window
-    tiles = x.data[:, :, :t * window].reshape(b, c, t, window)
-    # argmax over the window as a comparison chain, which is faster for the
-    # short windows used here: the first maximum wins, and the first NaN
-    # beats every number, as in argmax. takes[i - 1] marks where tap i
-    # replaced the maximum so far.
-    out_data = tiles[..., 0]
+    taps = np.moveaxis(x.data[:, :, :t * window].reshape(b, c, t, window), 3, 0).copy()
+    # argmax as a comparison chain, faster for these short windows: the first
+    # maximum wins and the first NaN beats every number, as in argmax.
+    # takes[i - 1] masks where tap i replaced the maximum so far.
+    out_data = taps[0]
     takes = []
     for i in range(1, window):
-        cand = tiles[..., i]
-        take = ~(cand <= out_data) & (out_data == out_data)
-        out_data = np.where(take, cand, out_data)
+        cand = taps[i]
+        take = _mask(~(cand <= out_data) & (out_data == out_data), cand)
+        out_data = _select(take, cand, out_data)
         takes.append(take)
 
     def bw(g):
         dx = np.zeros_like(x.data)
-        tiled = dx[:, :, :t * window].reshape(b, c, t, window)
-        g = 0.0 + g                      # as a scatter-add into zeros: -0.0 becomes +0.0
-        free = np.ones(g.shape, dtype=bool)  # no later tap took the maximum
+        tiled = _int_view(dx)[:, :, :t * window].reshape(b, c, t, window)
+        # as a scatter-add into zeros, -0.0 becomes +0.0; each tap takes the
+        # bits of g where it won, from the last tap back to the first
+        rest = _int_view(np.add(g, 0.0, dtype=dx.dtype))
         for i in range(window - 1, 0, -1):
-            np.copyto(tiled[..., i], g, where=takes[i - 1] & free)
-            free &= ~takes[i - 1]
-        np.copyto(tiled[..., 0], g, where=free)
+            np.bitwise_and(rest, takes[i - 1], out=tiled[..., i])
+            rest ^= tiled[..., i]
+        tiled[..., 0] = rest
         _accumulate(x, dx)
 
     return make_from_op(out_data, (x,), bw)
@@ -359,8 +378,9 @@ def avg_pool1d(x: Tensor, window: int, stride: int) -> Tensor:
     out_data = patches.mean(axis=2)
 
     def bw(g):
-        share = np.broadcast_to((g / window)[:, :, None, :], patches.shape)
-        _accumulate(x, _scatter_taps(share, stride, length))
+        b, c, t = g.shape
+        taps = np.broadcast_to((g / window).transpose(2, 0, 1)[:, :, None, :], (t, b, window, c))
+        _accumulate(x, _batch_major(_scatter_rows(taps, stride, length)))
 
     return make_from_op(out_data, (x,), bw)
 

@@ -1,12 +1,14 @@
 """Classifier checks: layer census, kernel shrinking, training behavior,
 prediction contracts, and the full-network gradient check."""
 
+import ctypes
 import logging
 
 import numpy as np
 import pytest
 
 from dosids import ndgrad as ng
+from dosids import parallel
 from dosids.alexclf import (AlexNetClassifier, Hyperparameters, build_classifier,
                             predict, train_classifier)
 from dosids.ndgrad import Tensor, grad_check, ops
@@ -126,6 +128,44 @@ def test_train_deterministic():
     assert ta == tb
     for a, b in zip(pa, pb):
         assert np.array_equal(a, b)
+
+
+def openblas_threads_functions():
+    """OpenBLAS's thread-count setter and getter as typed ctypes functions,
+    or None where no OpenBLAS with known names is loaded."""
+    names = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+             "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_")
+    setter = parallel.openblas_function(tuple(n.format("set") for n in names))
+    getter = parallel.openblas_function(tuple(n.format("get") for n in names))
+    if setter is None or getter is None:
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return setter, getter
+
+
+def test_float32_training_is_identical_on_one_and_two_blas_threads():
+    """Pool workers run BLAS on one thread and a serial run on the default,
+    so 1 and 2 workers agree only if the GEMMs, B*T rows tall at batch
+    64, give the same bits on any thread count."""
+    functions = openblas_threads_functions()
+    if functions is None:
+        pytest.skip("no OpenBLAS with a known thread-count setter is loaded")
+    set_threads, get_threads = functions
+    x, y = toy_features(4, n_per_class=64, n_classes=3, dim=32)
+
+    def run(threads):
+        set_threads(threads)
+        clf = AlexNetClassifier(32, 3, seed=5, dtype=np.float32)
+        train_classifier(clf, x, y, quick_hp(epochs=2, batch_size=64), seed=6)
+        return [p.data.tobytes() for p in clf.parameters()]
+
+    before = get_threads()
+    try:
+        one, two = run(1), run(2)
+    finally:
+        set_threads(before)
+    assert one == two
 
 
 def test_train_rejects_mismatched_rows():

@@ -104,14 +104,34 @@ def reference_weight_grads(x, w_shape, g, stride, padding, transpose):
         g_full[:, :, padding:padding + out_len] = g
         gpatches = ops._sliding_patches(g_full, k, stride)
         return np.tensordot(x, gpatches, axes=([0, 2], [0, 3]))
-    patches = ops._sliding_patches(ops._pad_length(x, padding), w_shape[2], stride)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    patches = ops._sliding_patches(xp, w_shape[2], stride)
     return np.tensordot(g, patches, axes=([0, 2], [0, 3]))
+
+
+# The convolutions sum their products in another order than the references
+# (one GEMM over B*T rows), so a result may differ from the float64
+# reference by CONV_ROUNDOFFS unit roundoffs of the op's dtype per term
+# summed, times the sum of the terms' magnitudes: the bound for a sum of n
+# rounded products in any order. The magnitudes are the reference run on
+# |x|, |w| and |g|. Where every term is zero the result must be exact.
+CONV_ROUNDOFFS = 2
+CONV_DTYPES = (np.float64, np.float32)
+
+
+def assert_within_sum_bound(got, want, magnitude, terms, where):
+    """got (in its dtype) against the float64 reference `want`."""
+    assert got.shape == want.shape, where
+    allowed = CONV_ROUNDOFFS * terms * (np.finfo(got.dtype).eps / 2) * magnitude
+    error = np.abs(got.astype(np.float64) - want)
+    assert (error <= allowed).all(), (where, float((error - allowed).max()))
 
 
 @pytest.mark.parametrize("transpose", [False, True], ids=["conv1d", "conv_transpose1d"])
 def test_conv_weight_grad_matches_tensordot(transpose):
-    """Byte for byte, sign of zero included, on both sides of the im2col
-    dot's fallback: batch 1, one output step, kernel 1, one channel."""
+    """Within the sum bound of the tensordot reference, in float64 and in
+    float32, with batch 1, one output step, kernel 1 and one channel
+    among the shapes."""
     rng = RNG(56)
     op = ng.conv_transpose1d if transpose else ng.conv1d
     cases = 0
@@ -127,16 +147,25 @@ def test_conv_weight_grad_matches_tensordot(transpose):
                 x[x > 1.2] = -0.0
                 if not transpose and k > length + 2 * padding:
                     continue
-                w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+                w = rng.normal(size=w_shape)
                 try:
-                    out = op(Tensor(x), w, stride=stride, padding=padding)
+                    out_shape = op(Tensor(x), Tensor(w), stride=stride, padding=padding).shape
                 except ValueError:                  # padding swallows the output
                     continue
-                g = rng.normal(size=out.shape)
+                g = rng.normal(size=out_shape)
                 g[g > 1.0] = -0.0
-                out.backward(g)
-                want = reference_weight_grads(x, w_shape, g, stride, padding, transpose)
-                assert w.grad.tobytes() == want.tobytes(), (stride, padding, b, c_in, k)
+                for dtype in CONV_DTYPES:
+                    xd, wd, gd = (a.astype(dtype) for a in (x, w, g))
+                    wt = Tensor(wd, requires_grad=True)
+                    op(Tensor(xd), wt, stride=stride, padding=padding).backward(gd)
+                    xd, gd = xd.astype(np.float64), gd.astype(np.float64)
+                    want = reference_weight_grads(xd, w_shape, gd, stride, padding, transpose)
+                    magnitude = reference_weight_grads(np.abs(xd), w_shape, np.abs(gd),
+                                                       stride, padding, transpose)
+                    terms = b * (length if transpose else g.shape[2])
+                    assert wt.grad.dtype == dtype
+                    assert_within_sum_bound(wt.grad, want, magnitude, terms,
+                                            (dtype, stride, padding, b, c_in, k))
                 cases += 1
     assert cases >= 50
 
@@ -178,8 +207,10 @@ def reference_scatter(op, x, w, g, stride, padding):
 
 @pytest.mark.parametrize("op", ["conv1d", "conv_transpose1d", "avg_pool1d"])
 def test_scatter_taps_matches_per_op_loops(op):
-    """Byte for byte, sign of zero included, over strides 1-3, padding 0-3
-    and kernels (or windows) 1-5, batch 1 among the shapes."""
+    """Over strides 1-3, padding 0-3 and kernels (or windows) 1-5, batch 1
+    among the shapes: avg_pool1d byte for byte, sign of zero included; the
+    convolutions within the sum bound of the loops, in float64 and in
+    float32."""
     rng = RNG(58)
     cases = 0
     for stride in (1, 2, 3):
@@ -190,26 +221,42 @@ def test_scatter_taps_matches_per_op_loops(op):
                     length = int(rng.integers(k, 12))
                     x = rng.normal(size=(b, c_in, length))
                     x[x > 1.0] = -0.0
-                    xt = Tensor(x, requires_grad=True)
                     if op == "avg_pool1d":
-                        w = k
+                        xt = Tensor(x, requires_grad=True)
                         out = ng.avg_pool1d(xt, k, stride)
-                    elif op == "conv1d":
-                        w = rng.normal(size=(c_out, c_in, k))
-                        out = ng.conv1d(xt, Tensor(w), stride, padding)
-                    else:
-                        w = rng.normal(size=(c_in, c_out, k))
-                        try:
-                            out = ng.conv_transpose1d(xt, Tensor(w), stride, padding)
-                        except ValueError:          # padding swallows the output
-                            continue
-                    g = rng.normal(size=out.shape)
+                        g = rng.normal(size=out.shape)
+                        g[g > 1.0] = -0.0
+                        out.backward(g)
+                        (want,) = reference_scatter(op, x, k, g, stride, padding)
+                        assert xt.grad.tobytes() == want.tobytes(), (stride, k, b)
+                        cases += 1
+                        continue
+                    conv = ng.conv1d if op == "conv1d" else ng.conv_transpose1d
+                    w_shape = (c_out, c_in, k) if op == "conv1d" else (c_in, c_out, k)
+                    w = rng.normal(size=w_shape)
+                    try:
+                        out_shape = conv(Tensor(x), Tensor(w), stride, padding).shape
+                    except ValueError:              # padding swallows the output
+                        continue
+                    g = rng.normal(size=out_shape)
                     g[g > 1.0] = -0.0
-                    out.backward(g)
-                    got = (xt.grad,) if op != "conv_transpose1d" else (out.data, xt.grad)
-                    want = reference_scatter(op, x, w, g, stride, padding)
-                    for a, r in zip(got, want):
-                        assert a.tobytes() == r.tobytes(), (op, stride, padding, k, b)
+                    # products per element: conv1d's input gradient sums
+                    # over (c_out, k), conv_transpose1d's output over
+                    # (c_in, k) and its input gradient over (c_out, k)
+                    terms = (c_out * k,) if op == "conv1d" else (c_in * k, c_out * k)
+                    for dtype in CONV_DTYPES:
+                        xd, wd, gd = (a.astype(dtype) for a in (x, w, g))
+                        xt = Tensor(xd, requires_grad=True)
+                        out = conv(xt, Tensor(wd), stride, padding)
+                        out.backward(gd)
+                        got = (xt.grad,) if op == "conv1d" else (out.data, xt.grad)
+                        xd, wd, gd = (a.astype(np.float64) for a in (xd, wd, gd))
+                        want = reference_scatter(op, xd, wd, gd, stride, padding)
+                        magnitude = reference_scatter(op, np.abs(xd), np.abs(wd), np.abs(gd),
+                                                      stride, padding)
+                        for a, r, m, n in zip(got, want, magnitude, terms):
+                            assert a.dtype == dtype
+                            assert_within_sum_bound(a, r, m, n, (dtype, stride, padding, k, b))
                     cases += 1
     assert cases >= 25
 
@@ -425,6 +472,37 @@ def test_activation_gradchecks():
         x = Tensor(away_from_kinks(rng, (3, 7)), requires_grad=True)
         err = grad_check(lambda k=kind: ng.activation(x, k).mean(), [x])
         assert err < TOL, kind
+
+
+def where_activation(kind, x, g):
+    """leaky_relu's and sigmoid's output and input gradient with np.where,
+    the forms the bit selection replaced."""
+    if kind == "leaky_relu":
+        factor = np.where(x > 0, 1.0, ops.LEAKY_SLOPE).astype(x.dtype, copy=False)
+        return x * factor, g * factor
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out, g * out * (1.0 - out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["leaky_relu", "sigmoid"])
+def test_activations_match_where_forms_bitwise(kind, dtype):
+    """Output and gradient byte for byte, on ±0.0, ±inf, NaN of either
+    sign, values whose exp underflows, and random values."""
+    grid = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 0.5, -2.5,
+            1e-30, -1e-30, 40.0, -40.0, 1e30, -1e30]
+    x = np.concatenate([np.array(grid), RNG(59).normal(size=48) * 4]).astype(dtype)
+    g = RNG(60).normal(size=x.size).astype(dtype)     # nonzero on the grid
+    g[len(grid)::5] = -0.0
+    g[len(grid) + 1::7] = 0.0
+    xt = Tensor(x.copy(), requires_grad=True)
+    out = ng.activation(xt, kind)
+    out.backward(g)
+    want_out, want_grad = where_activation(kind, x, g)
+    assert out.data.dtype == xt.grad.dtype == dtype
+    assert out.data.tobytes() == want_out.tobytes()
+    assert xt.grad.tobytes() == want_grad.tobytes()
 
 
 # ---- pooling -------------------------------------------------------------------
